@@ -1,7 +1,7 @@
 // Performance-core benchmark: throughput of the blocked GEMM, the im2col
 // convolutions, the CSR SpMM / R-GCN encoder, and an end-to-end PPO
 // training step — each measured against the original scalar seed kernels
-// (AFP_NAIVE_KERNELS path) so the speedup trajectory is tracked across
+// (the naive kernel tier) so the speedup trajectory is tracked across
 // PRs.  Results are printed and written to BENCH_perf_core.json.
 //
 // Knobs: AFP_BENCH_SCALE scales iteration counts (0.05 for CI smoke runs),
@@ -56,16 +56,25 @@ struct Row {
   double speedup() const { return fast_s > 0.0 ? naive_s / fast_s : 0.0; }
 };
 
-/// Times fn under both kernel paths.
+/// Returns fn() run under `tier`, restoring the entry tier afterwards.
+template <class Fn>
+auto under_tier(num::KernelTier tier, Fn&& fn) {
+  const num::KernelTier entry = num::kernel_tier();
+  num::set_kernel_tier(tier);
+  const auto out = fn();
+  num::set_kernel_tier(entry);
+  return out;
+}
+
+/// Times fn under the ambient (fast) and the naive kernel tier.
 template <class Fn>
 Row compare(const std::string& name, int iters, Fn&& fn) {
   Row row;
   row.name = name;
-  num::set_naive_kernels(false);
   row.fast_s = time_median(iters, fn);
-  num::set_naive_kernels(true);
-  row.naive_s = time_median(std::max(1, iters / 2), fn);
-  num::set_naive_kernels(false);
+  row.naive_s = under_tier(num::KernelTier::kNaive, [&] {
+    return time_median(std::max(1, iters / 2), fn);
+  });
   return row;
 }
 
@@ -225,10 +234,9 @@ Row bench_rgcn_forward(std::mt19937_64& rng) {
   Row row;
   row.name = "rgcn_forward_n256";
   row.fast_s = time_median(scaled(20), [&] { (void)layer.forward(h, adj_csr); });
-  num::set_naive_kernels(true);
-  row.naive_s =
-      time_median(scaled(10), [&] { (void)layer.forward(h, adj_dense); });
-  num::set_naive_kernels(false);
+  row.naive_s = under_tier(num::KernelTier::kNaive, [&] {
+    return time_median(scaled(10), [&] { (void)layer.forward(h, adj_dense); });
+  });
   std::printf("%-28s sparse %6.2f ms  dense-naive %8.2f ms  speedup %5.2fx\n",
               row.name.c_str(), row.fast_s * 1e3, row.naive_s * 1e3,
               row.speedup());
@@ -249,9 +257,9 @@ Row bench_spmm(std::mt19937_64& rng) {
   Row row;
   row.name = "spmm_n1024_nnz8k";
   row.fast_s = time_median(scaled(50), [&] { (void)num::spmm(a, h); });
-  num::set_naive_kernels(true);
-  row.naive_s = time_median(scaled(5), [&] { (void)num::matmul(ad, h); });
-  num::set_naive_kernels(false);
+  row.naive_s = under_tier(num::KernelTier::kNaive, [&] {
+    return time_median(scaled(5), [&] { (void)num::matmul(ad, h); });
+  });
   std::printf("%-28s sparse %6.3f ms  dense-naive %8.2f ms  speedup %5.2fx\n",
               row.name.c_str(), row.fast_s * 1e3, row.naive_s * 1e3,
               row.speedup());
@@ -288,11 +296,10 @@ Row bench_training_step() {
   };
   Row row;
   row.name = "ppo_training_step";
-  num::set_naive_kernels(false);
   row.fast_s = timed_iterations(std::max(1, scaled(4)));
-  num::set_naive_kernels(true);
-  row.naive_s = timed_iterations(std::max(1, scaled(2)));
-  num::set_naive_kernels(false);
+  row.naive_s = under_tier(num::KernelTier::kNaive, [&] {
+    return timed_iterations(std::max(1, scaled(2)));
+  });
   std::printf("%-28s fast %8.2f ms  naive %8.2f ms  speedup %5.2fx\n",
               row.name.c_str(), row.fast_s * 1e3, row.naive_s * 1e3,
               row.speedup());
@@ -319,6 +326,11 @@ void write_json(const std::vector<Row>& rows) {
 
 int main() {
   using namespace afp::bench;
+  // The "fast" columns time the ambient tier; a process started on the
+  // naive tier times the auto tier there instead.
+  if (afp::num::kernel_tier() == afp::num::KernelTier::kNaive) {
+    afp::num::set_kernel_tier(afp::num::KernelTier::kAuto);
+  }
   std::printf("perf_core bench: %d threads, scale %.2f\n",
               afp::num::num_threads(), bench_scale());
   std::mt19937_64 rng(42);

@@ -126,37 +126,6 @@ std::uint64_t checkpoint_identity(const std::string& optimizer,
   return fnv1a(key);
 }
 
-std::string to_string(Method m) {
-  switch (m) {
-    case Method::kRgcnRl: return "R-GCN RL";
-    case Method::kSA: return "SA";
-    case Method::kGA: return "GA";
-    case Method::kPSO: return "PSO";
-    case Method::kRlSa: return "RL-SA[13]";
-    case Method::kRlSp: return "RL[13]";
-    case Method::kSaBStar: return "SA-B*[15]";
-    case Method::kPT: return "PT";
-  }
-  return "?";
-}
-
-std::string optimizer_name(Method m) {
-  switch (m) {
-    case Method::kSA: return "sa";
-    case Method::kGA: return "ga";
-    case Method::kPSO: return "pso";
-    case Method::kRlSa: return "rlsa";
-    case Method::kRlSp: return "rlsp";
-    case Method::kSaBStar: return "sab";
-    case Method::kPT: return "pt";
-    case Method::kRgcnRl:
-      break;
-  }
-  throw std::invalid_argument(
-      "optimizer_name: Method::kRgcnRl has no registry optimizer; use the "
-      "ActorCritic overload");
-}
-
 FloorplanPipeline::Prepared FloorplanPipeline::prepare(
     const netlist::Netlist& nl, std::mt19937_64& rng) const {
   Prepared prep;
@@ -288,17 +257,17 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
   // contracts intact; thread safety comes from the cache's striped locks.
   metaheur::TranspositionCache tt;
 
-  // Exception firewall around one optimizer invocation: the stop-signal
+  // The one exception firewall around an optimizer invocation: the fault
+  // injector fires at quantum `q`, then `body` runs.  The stop-signal
   // exceptions and bad_alloc keep their identity (they classify as
   // cancelled / deadline_exceeded / resource_exhausted), everything else
-  // is wrapped so the failing quantum is attributed.  The fault injector
-  // fires at the same boundary, which makes an injected fault
-  // indistinguishable from a real optimizer bug downstream.
-  auto run_guarded = [&](const metaheur::SearchBudget& b, std::mt19937_64& r,
-                         long q) -> metaheur::BaselineResult {
+  // is wrapped so the failing quantum is attributed.  Injecting at the
+  // same boundary makes an injected fault indistinguishable from a real
+  // optimizer bug downstream.
+  auto firewall = [&](long q, auto&& body) -> metaheur::BaselineResult {
     try {
       FaultInjector::global().maybe_inject(q, cancel);
-      return opt.run(prep.instance, b, r);
+      return body();
     } catch (const CancelledError&) {
       throw;
     } catch (const DeadlineExceededError&) {
@@ -339,7 +308,8 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
       if (cancel && cancel->expired()) throw DeadlineExceededError(st.quanta);
       std::mt19937_64 qrng =
           metaheur::restart_rng(st.base_seed, static_cast<int>(st.quanta));
-      metaheur::BaselineResult r = run_guarded(quantum, qrng, st.quanta);
+      metaheur::BaselineResult r = firewall(
+          st.quanta, [&] { return opt.run(prep.instance, quantum, qrng); });
       st.evaluations += r.evaluations;
       const double cost = metaheur::sp_cost(prep.instance, r.rects);
       if (!st.has_best || cost < st.best_cost) {
@@ -369,31 +339,22 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
     metaheur::SearchBudget eff = budget;
     eff.stop = cancel;
     eff.tt = &tt;
-    // The injection point and the firewall sit around the whole fan-out:
-    // restarts run on pool threads where the ambient FaultScope is not
-    // visible, and an exception escaping any restart aborts the fan-out.
-    try {
-      FaultInjector::global().maybe_inject(0, cancel);
-      base = metaheur::run_multistart(
+    // The firewall sits around the whole fan-out: restarts run on pool
+    // threads where the ambient FaultScope is not visible, and an exception
+    // escaping any restart aborts the fan-out.
+    base = firewall(0, [&] {
+      return metaheur::run_multistart(
           prep.instance,
           [&](int, std::mt19937_64& r) {
             return opt.run(prep.instance, eff, r);
           },
           mopt);
-    } catch (const CancelledError&) {
-      throw;
-    } catch (const DeadlineExceededError&) {
-      throw;
-    } catch (const std::bad_alloc&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw OptimizerError(0, std::string(opt.name()) + ": " + e.what());
-    }
+    });
   } else {
     metaheur::SearchBudget eff = budget;
     eff.stop = cancel;
     eff.tt = &tt;
-    base = run_guarded(eff, rng, 0);
+    base = firewall(0, [&] { return opt.run(prep.instance, eff, rng); });
   }
   // An expired watchdog is a hard failure in every mode: the truncated
   // search result is not the deterministic function of the seed the report
@@ -410,19 +371,6 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
   res.tt.dropped = tt.dropped();
   res.tt.entries = tt.size();
   return res;
-}
-
-PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
-                                      Method method,
-                                      std::mt19937_64& rng) const {
-  const std::string name = optimizer_name(method);  // throws for kRgcnRl
-  // Reuse the configured options only when they were written for this
-  // optimizer; a mismatched map (e.g. SA options driving a GA run through
-  // the shim) would otherwise throw on unknown keys.
-  metaheur::Options opts;
-  if (name == cfg_.optimizer) opts = cfg_.options;
-  const auto opt = metaheur::make_optimizer(name, opts);
-  return run(nl, *opt, rng, nullptr);
 }
 
 }  // namespace afp::core

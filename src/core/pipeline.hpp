@@ -4,8 +4,7 @@
 // OARSMT global routing -> procedural layout generation -> DRC/LVS checks.
 //
 // The floorplanner is selected by *data*: PipelineConfig names a registry
-// optimizer plus a key=value option map (see metaheur/optimizer.hpp).  The
-// legacy closed `Method` enum survives only as a thin source-compat shim.
+// optimizer plus a key=value option map (see metaheur/optimizer.hpp).
 #pragma once
 
 #include <atomic>
@@ -17,16 +16,6 @@
 #include "rl/agent.hpp"
 
 namespace afp::core {
-
-/// Deprecated closed method enum, kept as a source-compat shim over the
-/// optimizer registry; use PipelineConfig::optimizer / run(nl, rng) instead.
-enum class Method { kRgcnRl, kSA, kGA, kPSO, kRlSa, kRlSp, kSaBStar, kPT };
-
-std::string to_string(Method m);
-
-/// Registry key for a (baseline) Method; throws std::invalid_argument for
-/// Method::kRgcnRl, which has no metaheuristic counterpart.
-std::string optimizer_name(Method m);
 
 /// Cooperative cancellation flag shared between a controller and a running
 /// job.  Copies observe the same flag; cancel() is sticky.  The token now
@@ -199,13 +188,6 @@ class FloorplanPipeline {
   PipelineResult run(const netlist::Netlist& nl,
                      const metaheur::Optimizer& opt, std::mt19937_64& rng,
                      const CancelToken* cancel = nullptr) const;
-
-  /// Deprecated shim over the registry: maps the enum to its registry name
-  /// (optimizer_name) and reuses cfg.options when they were written for the
-  /// same optimizer, defaults otherwise.  Bitwise-identical to the historic
-  /// enum path; throws std::invalid_argument for Method::kRgcnRl.
-  PipelineResult run(const netlist::Netlist& nl, Method method,
-                     std::mt19937_64& rng) const;
 
   const PipelineConfig& config() const { return cfg_; }
 

@@ -174,9 +174,9 @@ std::vector<OptionSpec> Optimizer::describe() {
 
 // ------------------------------------------------------ built-in optimizers
 //
-// Each wrapper owns the legacy parameter struct and forwards run() to the
-// legacy entry point so the registry path is bitwise identical to the old
-// enum path.  budget.iterations overrides the primary budget knob only.
+// Each wrapper owns the search's parameter struct and forwards run() to its
+// run_* entry point, so the registry path is bitwise identical to a direct
+// call.  budget.iterations overrides the primary budget knob only.
 
 namespace {
 

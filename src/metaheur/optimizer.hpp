@@ -12,9 +12,10 @@
 // it up without modification.
 //
 // Parity contract: a registry optimizer constructed from its name and
-// defaults calls the exact legacy run_* entry point with the exact legacy
-// parameter struct, so results are bitwise identical to the pre-registry
-// `core::Method` enum path for every method, thread count and seed.
+// defaults calls the exact run_* entry point with the exact parameter
+// struct a direct caller would use, so results are bitwise identical to
+// calling that entry point for every method, thread count and seed
+// (tests/registry_parity_test.cpp locks pt-bstar against run_pt).
 #pragma once
 
 #include <climits>

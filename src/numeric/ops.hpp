@@ -20,24 +20,15 @@
 // per-thread scratch arena (numeric/scratch.hpp); large elementwise ops run
 // on the shared thread pool (see numeric/parallel.hpp).  The GEMM inner
 // loops, elementwise ops and softmax/reduction hot paths dispatch to a
-// runtime-selected micro-kernel tier — explicit AVX2 or portable scalar —
-// controlled by AFP_KERNEL_TIER (see numeric/simd.hpp).  Within a tier,
-// results are bitwise identical for any AFP_NUM_THREADS.
+// runtime-selected micro-kernel tier — explicit AVX2, portable scalar or
+// the naive seed reference — controlled by AFP_KERNEL_TIER (see
+// numeric/simd.hpp).  Within a tier, results are bitwise identical for any
+// AFP_NUM_THREADS.
 #pragma once
 
 #include "numeric/tensor.hpp"
 
 namespace afp::num {
-
-// -- kernel selection --------------------------------------------------------
-/// When true, matmul / conv2d / conv_transpose2d run the original scalar
-/// reference kernels instead of the blocked GEMM path (and linear_relu
-/// decomposes into relu(linear(...))).  Used by the parity tests and
-/// bench_perf_core; initialized from AFP_NAIVE_KERNELS and equivalent to
-/// the "naive" AFP_KERNEL_TIER value.  Tier selection beyond the naive
-/// toggle lives in numeric/simd.hpp.
-bool naive_kernels();
-void set_naive_kernels(bool naive);
 
 // -- elementwise binary (identical shapes) ---------------------------------
 Tensor add(const Tensor& a, const Tensor& b);

@@ -13,10 +13,6 @@
 
 namespace afp::num {
 
-// Declared in ops.hpp; implemented here next to the tier state.
-bool naive_kernels();
-void set_naive_kernels(bool naive);
-
 namespace {
 
 // ===================================================================== scalar
@@ -624,31 +620,20 @@ KernelTier resolve_auto() {
   return KernelTier::kScalar;
 }
 
-struct TierState {
-  bool naive = false;         ///< legacy AFP_NAIVE_KERNELS reference toggle
-  KernelTier tier = KernelTier::kScalar;  ///< active fast tier
-};
-
-TierState init_state() {
-  TierState st;
-  st.tier = resolve_auto();
+KernelTier init_tier() {
+  KernelTier t = resolve_auto();
   if (const char* s = std::getenv("AFP_KERNEL_TIER")) {
-    KernelTier t;
-    if (parse_kernel_tier(s, &t)) {
-      if (t == KernelTier::kNaive) st.naive = true;
-      else if (t == KernelTier::kScalar) st.tier = KernelTier::kScalar;
-      else if (t == KernelTier::kAvx2 && resolve_auto() == KernelTier::kAvx2)
-        st.tier = KernelTier::kAvx2;
-      // kAuto / unsupported avx2 keep the resolved default.
+    KernelTier want;
+    if (parse_kernel_tier(s, &want)) {
+      if (want == KernelTier::kNaive || want == KernelTier::kScalar) t = want;
+      // kAuto / avx2 (supported or not) keep the resolved default.
     }
   }
-  if (const char* s = std::getenv("AFP_NAIVE_KERNELS")) {
-    if (std::atoi(s) != 0) st.naive = true;
-  }
-  return st;
+  return t;
 }
 
-TierState g_state = init_state();
+/// The active tier; never kAuto.
+KernelTier g_tier = init_tier();
 
 }  // namespace
 
@@ -660,27 +645,17 @@ bool cpu_supports_avx2() {
 #endif
 }
 
-KernelTier kernel_tier() {
-  return g_state.naive ? KernelTier::kNaive : g_state.tier;
-}
+KernelTier kernel_tier() { return g_tier; }
 
 void set_kernel_tier(KernelTier tier) {
   switch (tier) {
     case KernelTier::kNaive:
-      g_state.naive = true;
-      return;
     case KernelTier::kScalar:
-      g_state.naive = false;
-      g_state.tier = KernelTier::kScalar;
+      g_tier = tier;
       return;
     case KernelTier::kAvx2:
-      g_state.naive = false;
-      g_state.tier = resolve_auto() == KernelTier::kAvx2 ? KernelTier::kAvx2
-                                                         : KernelTier::kScalar;
-      return;
     case KernelTier::kAuto:
-      g_state.naive = false;
-      g_state.tier = resolve_auto();
+      g_tier = resolve_auto();
       return;
   }
 }
@@ -706,14 +681,11 @@ const char* kernel_tier_name(KernelTier tier) {
   return "?";
 }
 
-bool naive_kernels() { return g_state.naive; }
-void set_naive_kernels(bool naive) { g_state.naive = naive; }
-
 namespace simd {
 
 const Kernels& kernels() {
 #ifdef AFP_HAVE_AVX2_BUILD
-  if (!g_state.naive && g_state.tier == KernelTier::kAvx2) return kAvx2Kernels;
+  if (g_tier == KernelTier::kAvx2) return kAvx2Kernels;
 #endif
   return kScalarKernels;
 }

@@ -11,8 +11,10 @@
 //
 // Selection: AFP_KERNEL_TIER={naive,scalar,avx2,auto} at startup (default
 // auto = avx2 when the CPU supports it, else scalar), overridable at runtime
-// via set_kernel_tier().  The legacy AFP_NAIVE_KERNELS=1 toggle maps onto
-// the naive tier.
+// via set_kernel_tier().  Under the naive tier, matmul / conv2d /
+// conv_transpose2d run the seed reference kernels instead of the blocked
+// GEMM path and linear_relu decomposes into relu(linear(...)); the parity
+// tests and bench_perf_core diff the fast tiers against it.
 //
 // Determinism contract (same as numeric/parallel.hpp): within a tier, every
 // output element is produced by a fixed floating-point operation sequence
@@ -27,13 +29,11 @@ namespace afp::num {
 
 enum class KernelTier : int { kNaive = 0, kScalar = 1, kAvx2 = 2, kAuto = 3 };
 
-/// The tier ops currently dispatch to (never kAuto; kNaive while the legacy
-/// naive toggle is set).
+/// The tier ops currently dispatch to (never kAuto).
 KernelTier kernel_tier();
 
 /// Selects a tier.  kAuto re-resolves from the CPU; kAvx2 on a CPU without
-/// AVX2 support falls back to kScalar.  kNaive sets the legacy naive toggle
-/// (and any other tier clears it).
+/// AVX2 support falls back to kScalar.
 void set_kernel_tier(KernelTier tier);
 
 /// Parses "naive"/"scalar"/"avx2"/"auto".  Returns false on unknown input.
@@ -100,7 +100,7 @@ struct Kernels {
 
 /// Table for the active tier.  The naive tier returns the scalar table —
 /// naive-only code paths (seed matmul/conv) live in ops.cpp and are chosen
-/// there via naive_kernels().
+/// there by testing kernel_tier() == KernelTier::kNaive.
 const Kernels& kernels();
 
 }  // namespace simd

@@ -331,13 +331,6 @@ GlobalRoute global_route(const floorplan::Instance& inst,
                          const std::vector<geom::Rect>& rects,
                          const std::vector<int>& routing_dirs) {
   GlobalRoute gr;
-  // Above this block count the escape graph is clipped to a window around
-  // each net's pins (obstacles far outside the pin bounding box cannot
-  // improve the route, but their Hanan lines quadratically inflate the
-  // grid).  Small instances keep the historic full-canvas graph so their
-  // routes stay bit-identical.
-  constexpr int kWindowMinBlocks = 64;
-  const bool windowed = inst.num_blocks() > kWindowMinBlocks;
   std::vector<char> on_net(static_cast<std::size_t>(inst.num_blocks()), 0);
   for (std::size_t ni = 0; ni < inst.nets.size(); ++ni) {
     const auto& net = inst.nets[ni];
@@ -351,11 +344,11 @@ GlobalRoute global_route(const floorplan::Instance& inst,
           block_pin_for_net(rects[static_cast<std::size_t>(b)], dir, ni));
       on_net[static_cast<std::size_t>(b)] = 1;
     }
-    geom::Rect window;
-    if (windowed) {
-      window = geom::bounding_box_points(pins);
-      window = window.inflated(0.25 * std::max(window.w, window.h) + 2.0);
-    }
+    // The escape graph is clipped to a window around the net's pins:
+    // obstacles far outside the pin bounding box cannot improve the route,
+    // but their Hanan lines quadratically inflate the grid.
+    geom::Rect window = geom::bounding_box_points(pins);
+    window = window.inflated(0.25 * std::max(window.w, window.h) + 2.0);
     auto gather_obstacles = [&](bool clip) {
       std::vector<geom::Rect> obstacles;
       for (int b = 0; b < inst.num_blocks(); ++b) {
@@ -370,11 +363,10 @@ GlobalRoute global_route(const floorplan::Instance& inst,
     try {
       SteinerTree tree;
       try {
-        tree = route_net(pins, gather_obstacles(windowed));
+        tree = route_net(pins, gather_obstacles(true));
       } catch (const std::runtime_error&) {
         // A pin walled in by window-boundary obstacles may still escape on
         // the full graph; retry once before declaring the net failed.
-        if (!windowed) throw;
         tree = route_net(pins, gather_obstacles(false));
       }
       gr.total_wirelength += tree.length();

@@ -69,7 +69,9 @@ struct GlobalRoute {
 /// Routes every net of the instance over the placed blocks.  Blocks not on
 /// the net act as obstacles; pins sit on block boundaries per each block's
 /// preferred routing direction (derived from the structure type when the
-/// graph is available; here: north).
+/// graph is available; here: north).  Each net's escape graph only sees the
+/// obstacles inside a window around its pins; a net that cannot be routed
+/// there is retried once against every obstacle before it counts as failed.
 GlobalRoute global_route(const floorplan::Instance& inst,
                          const std::vector<geom::Rect>& rects,
                          const std::vector<int>& routing_dirs = {});

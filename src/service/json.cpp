@@ -94,7 +94,7 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 
 std::uint64_t JsonValue::as_uint(const std::string& what) const {
   const double d = as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > 1.8446744073709552e19) {
+  if (!(d >= 0.0) || d != std::floor(d) || d >= 18446744073709551616.0) {
     throw JsonError(0, what + " must be a non-negative integer");
   }
   return static_cast<std::uint64_t>(d);

@@ -15,14 +15,6 @@ PipelineConfig quick_config() {
   return cfg;
 }
 
-TEST(MethodNames, AllDistinct) {
-  std::set<std::string> names;
-  for (Method m : {Method::kRgcnRl, Method::kSA, Method::kGA, Method::kPSO,
-                   Method::kRlSa, Method::kRlSp}) {
-    EXPECT_TRUE(names.insert(to_string(m)).second);
-  }
-}
-
 TEST(Pipeline, PrepareBuildsInstance) {
   std::mt19937_64 rng(1);
   FloorplanPipeline pipe(quick_config());
@@ -45,7 +37,7 @@ TEST(Pipeline, PrepareWithConstraints) {
 TEST(Pipeline, BaselineEndToEnd) {
   std::mt19937_64 rng(3);
   FloorplanPipeline pipe(quick_config());
-  const auto res = pipe.run(netlist::make_ota_small(), Method::kSA, rng);
+  const auto res = pipe.run(netlist::make_ota_small(), rng);
   EXPECT_EQ(res.rects.size(), 3u);
   EXPECT_DOUBLE_EQ(geom::total_pairwise_overlap(res.rects), 0.0);
   EXPECT_EQ(res.route.failed_nets, 0);
@@ -53,13 +45,6 @@ TEST(Pipeline, BaselineEndToEnd) {
   EXPECT_GT(res.timings.floorplan_s, 0.0);
   EXPECT_GT(res.timings.total(), 0.0);
   EXPECT_TRUE(std::isfinite(res.eval.reward));
-}
-
-TEST(Pipeline, RgcnRlMethodEnumRejectsBaselineOverload) {
-  std::mt19937_64 rng(4);
-  FloorplanPipeline pipe(quick_config());
-  EXPECT_THROW(pipe.run(netlist::make_ota_small(), Method::kRgcnRl, rng),
-               std::invalid_argument);
 }
 
 TEST(Pipeline, AgentEndToEnd) {

@@ -153,11 +153,12 @@ TEST(NewCircuits, FoldedCascodeGraphShape) {
 TEST(NewCircuits, EndToEndPipeline) {
   std::mt19937_64 rng(6);
   core::PipelineConfig cfg;
+  cfg.optimizer = "sa";
   cfg.options = {{"iterations", "400"}};
   core::FloorplanPipeline pipe(cfg);
   for (auto make : {netlist::make_folded_cascode, netlist::make_charge_pump,
                     netlist::make_bandgap}) {
-    const auto res = pipe.run(make(), core::Method::kSA, rng);
+    const auto res = pipe.run(make(), rng);
     EXPECT_DOUBLE_EQ(geom::total_pairwise_overlap(res.rects), 0.0);
     EXPECT_EQ(res.route.failed_nets, 0) << res.instance.name;
     EXPECT_TRUE(res.lvs.open_nets.empty()) << res.instance.name;

@@ -76,11 +76,12 @@ TEST(Checkpoint, ArchitectureMismatchRejected) {
 
 TEST(Pipeline, DeterministicGivenSeed) {
   core::PipelineConfig cfg;
+  cfg.optimizer = "sa";
   cfg.options = {{"iterations", "300"}};
   core::FloorplanPipeline pipe(cfg);
   std::mt19937_64 r1(11), r2(11);
-  const auto a = pipe.run(netlist::make_ota2(), core::Method::kSA, r1);
-  const auto b = pipe.run(netlist::make_ota2(), core::Method::kSA, r2);
+  const auto a = pipe.run(netlist::make_ota2(), r1);
+  const auto b = pipe.run(netlist::make_ota2(), r2);
   ASSERT_EQ(a.rects.size(), b.rects.size());
   for (std::size_t i = 0; i < a.rects.size(); ++i) {
     EXPECT_EQ(a.rects[i], b.rects[i]);
@@ -95,9 +96,10 @@ TEST(Pipeline, RunsFromSpiceText) {
   const auto nl = netlist::Netlist::from_spice(text);
   std::mt19937_64 rng(4);
   core::PipelineConfig cfg;
+  cfg.optimizer = "sa";
   cfg.options = {{"iterations", "300"}};
   core::FloorplanPipeline pipe(cfg);
-  const auto res = pipe.run(nl, core::Method::kSA, rng);
+  const auto res = pipe.run(nl, rng);
   EXPECT_EQ(res.rects.size(), 3u);
   EXPECT_EQ(res.route.failed_nets, 0);
 }
@@ -105,10 +107,11 @@ TEST(Pipeline, RunsFromSpiceText) {
 TEST(Pipeline, ConstrainedRunSatisfiesConstraintsWhenComplete) {
   core::PipelineConfig cfg;
   cfg.constrained = true;
+  cfg.optimizer = "sa";
   cfg.options = {{"iterations", "2500"}};
   core::FloorplanPipeline pipe(cfg);
   std::mt19937_64 rng(5);
-  const auto res = pipe.run(netlist::make_ota_small(), core::Method::kSA, rng);
+  const auto res = pipe.run(netlist::make_ota_small(), rng);
   // SA may or may not satisfy the constraints (soft penalty), but the
   // evaluation must report it consistently.
   EXPECT_EQ(res.eval.constraints_ok,

@@ -374,18 +374,31 @@ TEST(Retry, RecoversFromInjectedFaultDeterministically) {
 }
 
 TEST(Retry, ExhaustedRetriesClassifyAsOptimizerFailure) {
-  FaultGuard guard("throw@0:0");
-  JobSpec spec;
-  spec.name = "faulted";
-  spec.netlist = netlist::make_ota_small();
-  spec.config = quick_config(150);  // max_retries = 0: the fault is final
-  const auto report =
-      JobService::run_job(spec, 0, JobService::job_seed(1, 0), nullptr, {});
-  EXPECT_EQ(report.status, JobStatus::kFailed);
-  EXPECT_EQ(report.error.kind, JobErrorKind::kOptimizerFailure);
-  EXPECT_EQ(report.error.quantum, 0);
-  EXPECT_NE(report.error.message.find("injected fault"), std::string::npos);
-  EXPECT_EQ(report.attempts, 1);
+  // Single, restart and quantum mode share one exception firewall: the
+  // injected fault is attributed to the quantum it fired at.
+  struct Mode {
+    const char* fault;
+    int restarts;
+    int quanta;
+  };
+  for (const Mode m : {Mode{"throw@0:0", 1, 0}, Mode{"throw@0:0", 3, 0},
+                       Mode{"throw@0:1", 1, 2}}) {
+    SCOPED_TRACE(m.fault + (" restarts=" + std::to_string(m.restarts)));
+    FaultGuard guard(m.fault);
+    JobSpec spec;
+    spec.name = "faulted";
+    spec.netlist = netlist::make_ota_small();
+    spec.config = quick_config(150);  // max_retries = 0: the fault is final
+    spec.config.search.restarts = m.restarts;
+    spec.config.search.budget.quanta = m.quanta;
+    const auto report =
+        JobService::run_job(spec, 0, JobService::job_seed(1, 0), nullptr, {});
+    EXPECT_EQ(report.status, JobStatus::kFailed);
+    EXPECT_EQ(report.error.kind, JobErrorKind::kOptimizerFailure);
+    EXPECT_EQ(report.error.quantum, m.quanta > 0 ? 1 : 0);
+    EXPECT_NE(report.error.message.find("injected fault"), std::string::npos);
+    EXPECT_EQ(report.attempts, 1);
+  }
 }
 
 TEST(Checkpoint, ResumeIsBitwiseIdenticalAcrossThreadCounts) {

@@ -12,6 +12,7 @@
 #include "numeric/ops.hpp"
 #include "numeric/parallel.hpp"
 #include "numeric/scratch.hpp"
+#include "numeric/simd.hpp"
 #include "numeric/sparse.hpp"
 #include "numeric/tensor.hpp"
 
@@ -47,14 +48,22 @@ void expect_close(const std::vector<float>& a, const std::vector<float>& b,
   }
 }
 
-/// Runs the graph twice — reference kernels vs fast kernels — on identical
-/// inputs and requires matching forward values and gradients.
+/// The fast tier the naive reference is diffed against: the entry tier, or
+/// scalar when the binary runs on the naive tier.
+KernelTier fast_tier(KernelTier entry) {
+  return entry == KernelTier::kNaive ? KernelTier::kScalar : entry;
+}
+
+/// Runs the graph twice — naive reference kernels vs the fast tier — on
+/// identical inputs and requires matching forward values and gradients.
 void parity_check(const std::function<Tensor(std::vector<Tensor>&)>& fn,
                   const std::vector<Tensor>& inputs) {
-  set_naive_kernels(true);
+  const KernelTier entry = kernel_tier();
+  set_kernel_tier(KernelTier::kNaive);
   const Eval ref = evaluate(fn, inputs);
-  set_naive_kernels(false);
+  set_kernel_tier(fast_tier(entry));
   const Eval fast = evaluate(fn, inputs);
+  set_kernel_tier(entry);
   expect_close(ref.out, fast.out, "forward");
   for (std::size_t i = 0; i < ref.grads.size(); ++i) {
     expect_close(ref.grads[i], fast.grads[i],
@@ -348,9 +357,9 @@ TEST(ScratchArena, NoAllocationGrowthAcrossTrainingIterations) {
   // and per-image dW partials all reuse their slabs.
   //
   // The naive reference kernels bypass the arena entirely, so pin a fast
-  // tier for the duration (the binary may run under AFP_NAIVE_KERNELS=1).
-  const bool naive_entry = naive_kernels();
-  set_naive_kernels(false);
+  // tier for the duration (the binary may run on the naive tier).
+  const KernelTier entry = kernel_tier();
+  set_kernel_tier(fast_tier(entry));
   auto rng = rng_fixed();
   const Tensor x = Tensor::randn({4, 3, 16, 16}, rng, 1.0f);
   Tensor w = Tensor::randn({6, 3, 3, 3}, rng, 0.3f, true);
@@ -375,7 +384,7 @@ TEST(ScratchArena, NoAllocationGrowthAcrossTrainingIterations) {
   EXPECT_EQ(scratch_allocation_count(), allocs)
       << "workspace allocated after warm-up";
   EXPECT_EQ(scratch_allocated_bytes(), bytes);
-  set_naive_kernels(naive_entry);
+  set_kernel_tier(entry);
 }
 
 TEST(Storage, BufferPoolRecyclesFreedBuffers) {

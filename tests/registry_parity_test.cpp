@@ -1,9 +1,8 @@
 // Registry parity suite: every registered optimizer must (a) construct from
-// its name plus default options, (b) round-trip its option map, and (c)
-// produce bitwise-identical results to the legacy `core::Method` enum path
-// on a Table I circuit at 1 and 4 pool threads.  The registry is the only
-// supported way to add a search, so any drift between the two surfaces is a
-// regression.
+// its name plus default options and (b) round-trip its option map, and the
+// registry-only pt-bstar must (c) produce bitwise-identical results to a
+// direct legacy call into metaheur::run_pt on a Table I circuit at 1 and 4
+// pool threads.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
@@ -13,43 +12,6 @@
 
 namespace afp {
 namespace {
-
-/// Small per-optimizer budgets so the 2x8x2 sweep stays fast.
-const std::map<std::string, metaheur::Options>& quick_options() {
-  static const std::map<std::string, metaheur::Options> opts = {
-      {"sa", {{"iterations", "200"}}},
-      {"ga", {{"population", "8"}, {"generations", "6"}}},
-      {"pso", {{"particles", "8"}, {"iterations", "8"}}},
-      {"rlsa", {{"iterations", "200"}}},
-      {"rlsp", {{"episodes", "6"}, {"steps_per_episode", "20"}}},
-      {"sab", {{"iterations", "200"}}},
-      {"pt", {{"replicas", "3"}, {"iterations", "60"}}},
-      {"pt-bstar", {{"replicas", "3"}, {"iterations", "60"}}},
-  };
-  return opts;
-}
-
-const std::map<std::string, core::Method>& enum_of() {
-  static const std::map<std::string, core::Method> m = {
-      {"sa", core::Method::kSA},         {"ga", core::Method::kGA},
-      {"pso", core::Method::kPSO},       {"rlsa", core::Method::kRlSa},
-      {"rlsp", core::Method::kRlSp},     {"sab", core::Method::kSaBStar},
-      {"pt", core::Method::kPT},
-  };
-  return m;
-}
-
-void expect_identical(const core::PipelineResult& a,
-                      const core::PipelineResult& b, const std::string& what) {
-  EXPECT_EQ(a.evaluations, b.evaluations) << what;
-  EXPECT_EQ(a.eval.reward, b.eval.reward) << what;
-  EXPECT_EQ(a.eval.hpwl, b.eval.hpwl) << what;
-  EXPECT_EQ(a.route.total_wirelength, b.route.total_wirelength) << what;
-  ASSERT_EQ(a.rects.size(), b.rects.size()) << what;
-  for (std::size_t i = 0; i < a.rects.size(); ++i) {
-    EXPECT_EQ(a.rects[i], b.rects[i]) << what << " rect " << i;
-  }
-}
 
 TEST(OptimizerRegistry, RegistersTheEightBuiltins) {
   const std::vector<std::string> expected = {"ga", "pso",      "pt", "pt-bstar",
@@ -124,37 +86,16 @@ TEST(OptimizerOptions, BudgetOverridesPrimaryKnob) {
   EXPECT_EQ(a.rects, b.rects);
 }
 
-/// Registry-vs-enum parity over the pipeline on a Table I circuit (ota2),
-/// at 1 and 4 pool threads.  The seven enum methods run both surfaces;
-/// pt-bstar (registry-only) is checked against a hand-replicated legacy
-/// call into metaheur::run_pt with the B*-tree representation.
-TEST(RegistryParity, MatchesLegacyEnumPathBitwise) {
-  const auto nl = netlist::make_ota2();
-  for (const int threads : {1, 4}) {
-    num::set_num_threads(threads);
-    for (const auto& [name, method] : enum_of()) {
-      core::PipelineConfig cfg;
-      cfg.optimizer = name;
-      cfg.options = quick_options().at(name);
-      core::FloorplanPipeline pipe(cfg);
-      std::mt19937_64 r_enum(42), r_registry(42);
-      const auto via_enum = pipe.run(nl, method, r_enum);
-      const auto via_registry = pipe.run(nl, r_registry);
-      EXPECT_EQ(via_registry.optimizer, name);
-      expect_identical(via_enum, via_registry,
-                       name + " @" + std::to_string(threads) + " threads");
-    }
-  }
-  num::set_num_threads(0);
-}
-
+/// pt-bstar (registry-only) against a hand-replicated legacy call into
+/// metaheur::run_pt with the B*-tree representation, at 1 and 4 pool
+/// threads.
 TEST(RegistryParity, PtBstarMatchesDirectLegacyCall) {
   const auto nl = netlist::make_ota2();
   for (const int threads : {1, 4}) {
     num::set_num_threads(threads);
     core::PipelineConfig cfg;
     cfg.optimizer = "pt-bstar";
-    cfg.options = quick_options().at("pt-bstar");
+    cfg.options = {{"replicas", "3"}, {"iterations", "60"}};
     core::FloorplanPipeline pipe(cfg);
     std::mt19937_64 r_registry(42);
     const auto via_registry = pipe.run(nl, r_registry);
@@ -175,35 +116,6 @@ TEST(RegistryParity, PtBstarMatchesDirectLegacyCall) {
     EXPECT_EQ(via_registry.evaluations, legacy.evaluations);
   }
   num::set_num_threads(0);
-}
-
-TEST(RegistryParity, MultiStartGoesThroughRegistryUnchanged) {
-  // restarts > 1 fans out on the pool; the registry path must match the
-  // enum path there too (same base-seed draw, same per-restart streams).
-  const auto nl = netlist::make_ota_small();
-  core::PipelineConfig cfg;
-  cfg.optimizer = "sa";
-  cfg.options = {{"iterations", "150"}};
-  cfg.search.restarts = 3;
-  cfg.search.base_seed = 9;
-  core::FloorplanPipeline pipe(cfg);
-  for (const int threads : {1, 4}) {
-    num::set_num_threads(threads);
-    std::mt19937_64 r_enum(1), r_registry(1);
-    const auto via_enum = pipe.run(nl, core::Method::kSA, r_enum);
-    const auto via_registry = pipe.run(nl, r_registry);
-    expect_identical(via_enum, via_registry,
-                     "SAx3 @" + std::to_string(threads) + " threads");
-  }
-  num::set_num_threads(0);
-}
-
-TEST(MethodShim, RgcnRlThrowsAndNamesMap) {
-  EXPECT_THROW(core::optimizer_name(core::Method::kRgcnRl),
-               std::invalid_argument);
-  EXPECT_EQ(core::optimizer_name(core::Method::kSA), "sa");
-  EXPECT_EQ(core::optimizer_name(core::Method::kSaBStar), "sab");
-  EXPECT_EQ(core::optimizer_name(core::Method::kPT), "pt");
 }
 
 }  // namespace

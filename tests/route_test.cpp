@@ -166,37 +166,42 @@ TEST(GlobalRoute, RoutesEveryNetOfPlacedCircuit) {
 }
 
 TEST(GlobalRoute, WindowedLargeInstanceRoutesCleanly) {
-  // Above 64 blocks the router clips each net's escape graph to a window
-  // around its pins; the routed trees must still be connected, rectilinear
-  // and cover every multi-pin net of a generated 100-block workload.
-  const auto sc = ingest::make_scenario(ingest::ScenarioSpec::parse("ota:100:3"));
-  auto g = graphir::build_graph(sc.netlist, structrec::recognize(sc.netlist));
-  auto inst = floorplan::make_instance(g);
-  ASSERT_GT(inst.num_blocks(), 64);
-  std::vector<geom::Rect> rects;
-  double x = 0.0, y = 0.0, row_h = 0.0;
-  int col = 0;
-  for (const auto& b : inst.blocks) {
-    // 10-wide grid of blocks so windows genuinely exclude far obstacles.
-    rects.push_back({x, y, b.shapes[1].w, b.shapes[1].h});
-    x += b.shapes[1].w + 1.0;
-    row_h = std::max(row_h, b.shapes[1].h);
-    if (++col == 10) {
-      col = 0;
-      x = 0.0;
-      y += row_h + 1.0;
-      row_h = 0.0;
+  // The router clips each net's escape graph to a window around its pins
+  // at every instance size; the routed trees must still be connected,
+  // rectilinear and cover every multi-pin net, from small library circuits
+  // up to a generated 100-block workload.
+  const auto sc =
+      ingest::make_scenario(ingest::ScenarioSpec::parse("ota:100:3"));
+  for (const auto& nl : {netlist::make_driver(),
+                         netlist::make_folded_cascode(), sc.netlist}) {
+    SCOPED_TRACE(nl.name());
+    auto g = graphir::build_graph(nl, structrec::recognize(nl));
+    auto inst = floorplan::make_instance(g);
+    std::vector<geom::Rect> rects;
+    double x = 0.0, y = 0.0, row_h = 0.0;
+    int col = 0;
+    for (const auto& b : inst.blocks) {
+      // 10-wide grid of blocks so windows genuinely exclude far obstacles.
+      rects.push_back({x, y, b.shapes[1].w, b.shapes[1].h});
+      x += b.shapes[1].w + 1.0;
+      row_h = std::max(row_h, b.shapes[1].h);
+      if (++col == 10) {
+        col = 0;
+        x = 0.0;
+        y += row_h + 1.0;
+        row_h = 0.0;
+      }
     }
-  }
-  const auto gr = global_route(inst, rects);
-  EXPECT_EQ(gr.failed_nets, 0);
-  EXPECT_GT(gr.total_wirelength, 0.0);
-  std::size_t multipin = 0;
-  for (const auto& net : inst.nets) multipin += net.size() >= 2 ? 1 : 0;
-  EXPECT_EQ(gr.trees.size(), multipin);
-  for (const auto& t : gr.trees) {
-    EXPECT_TRUE(tree_connected(t));
-    EXPECT_TRUE(is_rectilinear(t));
+    const auto gr = global_route(inst, rects);
+    EXPECT_EQ(gr.failed_nets, 0);
+    EXPECT_GT(gr.total_wirelength, 0.0);
+    std::size_t multipin = 0;
+    for (const auto& net : inst.nets) multipin += net.size() >= 2 ? 1 : 0;
+    EXPECT_EQ(gr.trees.size(), multipin);
+    for (const auto& t : gr.trees) {
+      EXPECT_TRUE(tree_connected(t));
+      EXPECT_TRUE(is_rectilinear(t));
+    }
   }
 }
 

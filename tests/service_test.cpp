@@ -93,6 +93,11 @@ TEST(Json, IntegerNarrowingIsExact) {
   EXPECT_EQ(service::json_parse("7").as_uint("x"), 7u);
   EXPECT_THROW(service::json_parse("7.25").as_uint("x"), JsonError);
   EXPECT_THROW(service::json_parse("-1").as_uint("x"), JsonError);
+  // 2^64 is one past the uint64_t range; the largest double below it fits.
+  EXPECT_THROW(service::json_parse("18446744073709551616").as_uint("x"),
+               JsonError);
+  EXPECT_EQ(service::json_parse("18446744073709549568").as_uint("x"),
+            18446744073709549568ull);
   EXPECT_EQ(service::json_parse("-3").as_int("x"), -3);
   EXPECT_THROW(service::json_parse("1e30").as_int("x"), JsonError);
 }

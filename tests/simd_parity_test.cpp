@@ -87,18 +87,15 @@ TEST(KernelTier, ParseAndNames) {
   EXPECT_STREQ(kernel_tier_name(KernelTier::kScalar), "scalar");
 }
 
-TEST(KernelTier, NaiveToggleInterop) {
-  // The legacy AFP_NAIVE_KERNELS toggle and the naive tier are one state.
+TEST(KernelTier, NaiveRoundTrips) {
+  // Selecting the naive tier and then the entry tier restores the entry
+  // tier exactly: the tier is the only kernel-selection state.
   const KernelTier entry = kernel_tier();
   set_kernel_tier(KernelTier::kNaive);
-  EXPECT_TRUE(naive_kernels());
   EXPECT_EQ(kernel_tier(), KernelTier::kNaive);
-  set_naive_kernels(false);
-  EXPECT_NE(kernel_tier(), KernelTier::kNaive);
-  set_naive_kernels(true);
-  EXPECT_EQ(kernel_tier(), KernelTier::kNaive);
+  set_kernel_tier(entry);
+  EXPECT_EQ(kernel_tier(), entry);
   set_kernel_tier(KernelTier::kAuto);
-  EXPECT_FALSE(naive_kernels());
   // Resolved tier is never kAuto, and avx2 only when the CPU has it.
   EXPECT_NE(kernel_tier(), KernelTier::kAuto);
   if (kernel_tier() == KernelTier::kAvx2) EXPECT_TRUE(cpu_supports_avx2());
