@@ -19,7 +19,7 @@ set(tiers naive scalar avx2 auto)
 # name;flags... per run: one plain SA, one multi-start parallel tempering.
 set(runs
     "sa\;--baseline\;sa\;--iters\;120"
-    "pt\;--baseline\;pt\;--restarts\;2\;--pt-replicas\;4\;--pt-swap-interval\;8\;--iters\;60")
+    "pt\;--baseline\;pt\;--restarts\;2\;--opt\;replicas=4,swap_interval=8\;--iters\;60")
 
 foreach(run IN LISTS runs)
   list(GET run 0 name)

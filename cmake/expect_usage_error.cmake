@@ -24,21 +24,22 @@ if(NOT err MATCHES "usage: afp")
 endif()
 # A flag that only exists on a different command must be rejected too.
 execute_process(
-  COMMAND ${AFP_CLI} train --pt-replicas 8
+  COMMAND ${AFP_CLI} train --baseline sa
   RESULT_VARIABLE rc2
   OUTPUT_QUIET
   ERROR_VARIABLE err2)
 if(NOT rc2 EQUAL 2)
   message(FATAL_ERROR "expected exit code 2 for a wrong-command flag, got ${rc2}")
 endif()
-if(NOT err2 MATCHES "unknown option '--pt-replicas' for 'train'")
+if(NOT err2 MATCHES "unknown option '--baseline' for 'train'")
   message(FATAL_ERROR "stderr does not name the wrong-command flag: ${err2}")
 endif()
 
 # Malformed values are usage errors too: every numeric option is validated
 # (historically `--seed abc` crashed with an uncaught std::invalid_argument
-# from std::stoul), an unknown --baseline must name the registry, and a bad
-# --opt key must name the optimizer's known options.  All exit 2 + usage.
+# from std::stoul, and integers above INT_MAX wrapped silently), an unknown
+# --baseline must name the registry, and a bad --opt key must name the
+# optimizer's known options.  All exit 2 + usage.
 set(bad_invocations
     "floorplan\;ota_small\;--seed\;abc"
     "floorplan\;ota_small\;--iters\;12x"
@@ -53,13 +54,17 @@ set(bad_invocations
     "floorplan\;ota_small\;--baseline\;sa\;--opt\;iterations=-5"
     "floorplan\;ota_small\;--restarts\;4\;--time-budget\;0.1"
     "floorplan\;ota_small\;--batch\;nowhere\;--svg\;x.svg"
-    "floorplan\;ota_small\;--baseline\;sa\;--pt-replicas\;4"
+    "floorplan\;ota_small\;--baseline\;sa\;--opt\;replicas=4"
     "floorplan\;ota_small\;--quanta\;0"
+    "floorplan\;ota_small\;--quanta\;4294967298"
+    "floorplan\;ota_small\;--iters\;4294967336"
+    "floorplan\;ota_small\;--restarts\;4294967296"
     "floorplan\;ota_small\;--quanta\;lots"
     "floorplan\;ota_small\;--restarts\;2\;--quanta\;4"
     "floorplan\;ota_small\;--job-timeout\;0"
     "floorplan\;ota_small\;--job-timeout\;never"
     "floorplan\;ota_small\;--max-retries\;-1"
+    "floorplan\;ota_small\;--max-retries\;101"
     "floorplan\;ota_small\;--checkpoint\;cp.bin"
     "floorplan\;ota_small\;--quanta\;2\;--resume"
     "train\;--episodes\;1e3"

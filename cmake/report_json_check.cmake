@@ -12,7 +12,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 set(report "${WORK_DIR}/report.json")
 
 execute_process(
-  COMMAND ${AFP_CLI} floorplan ota_small --baseline pt --pt-replicas 3
+  COMMAND ${AFP_CLI} floorplan ota_small --baseline pt --opt replicas=3
           --iters 60 --seed 11 --report-json ${report}
   RESULT_VARIABLE rc
   OUTPUT_QUIET

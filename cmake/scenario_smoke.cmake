@@ -1,5 +1,6 @@
 # Workload-ingestion smoke: the checked-in example deck must run end to end
-# through `afp_cli ingest` with a schema-valid JSON report, the checked-in
+# through `afp_cli ingest` with a schema-valid JSON report and give the same
+# report through `afp_cli floorplan <deck>`, the checked-in
 # malformed deck must exit 2 with a file:line diagnostic, and a 3-family x
 # 2-size scenario matrix must produce bitwise-identical batch reports at
 # AFP_NUM_THREADS 1 and 4 (modulo the runtime members: timings, tt_cache,
@@ -41,6 +42,35 @@ if(PYTHON)
     message(FATAL_ERROR "ingest JSON violates the schema: ${verr}")
   endif()
   message(STATUS "${vout}")
+endif()
+
+# --- 1b. the same deck through `floorplan <file>`: one SPICE parser ------
+# serves both commands, so the reports agree apart from the circuit label
+# (the path here, the top cell there) and the runtime members.
+set(floorplan_report "${WORK_DIR}/floorplan_deck.json")
+execute_process(
+  COMMAND ${AFP_CLI} floorplan ${EXAMPLES_DIR}/two_stage_ota.sp
+          --baseline sa --iters 400 --seed 7 --report-json ${floorplan_report}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "example-deck floorplan failed (rc ${rc}): ${out}\n${err}")
+endif()
+foreach(which ingest floorplan)
+  file(READ "${${which}_report}" body)
+  foreach(member circuit timings tt_cache)
+    string(REGEX REPLACE "\"${member}\": (\"[^\"]*\"|{[^}]*})"
+           "\"${member}\": null" body "${body}")
+  endforeach()
+  set(deck_${which} "${body}")
+endforeach()
+if(NOT deck_ingest STREQUAL deck_floorplan)
+  file(WRITE "${WORK_DIR}/deck_ingest.json" "${deck_ingest}")
+  file(WRITE "${WORK_DIR}/deck_floorplan.json" "${deck_floorplan}")
+  message(FATAL_ERROR
+    "floorplan <deck> and ingest <deck> disagree: ${WORK_DIR}/deck_ingest.json "
+    "vs ${WORK_DIR}/deck_floorplan.json")
 endif()
 
 # --- 2. malformed deck: structured exit 2, never a crash -----------------

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 
 #include "core/fault.hpp"
 #include "metaheur/eval_cache.hpp"
@@ -116,6 +117,45 @@ bool load_quantum_checkpoint(const std::string& path, std::uint64_t identity,
   return true;
 }
 }  // namespace
+
+void validate_search(const SearchConfig& search) {
+  auto range = [](const char* what, long long v, long long lo, long long hi) {
+    if (v < lo || v > hi) {
+      throw std::invalid_argument(
+          std::string("search.") + what + " must be in [" +
+          std::to_string(lo) + ", " + std::to_string(hi) + "], got " +
+          std::to_string(v));
+    }
+  };
+  auto seconds = [](const char* what, double v) {
+    if (!(v >= 0.0 && v <= 1e9)) {
+      throw std::invalid_argument(std::string("search.") + what +
+                                  " must be in [0, 1e9] seconds");
+    }
+  };
+  range("restarts", search.restarts, 1, 1 << 16);
+  range("iterations", search.budget.iterations, 0, 1 << 30);
+  range("quanta", search.budget.quanta, 0, 1 << 20);
+  range("max_retries", search.retry.max_retries, 0, 100);
+  seconds("wall_clock_s", search.budget.wall_clock_s);
+  seconds("deadline_s", search.budget.deadline_s);
+  const bool quantum_mode =
+      search.budget.wall_clock_s > 0.0 || search.budget.quanta > 0;
+  if (search.restarts > 1 && quantum_mode) {
+    throw std::invalid_argument(
+        "search.restarts excludes search.wall_clock_s and search.quanta: "
+        "the quantum mode runs sequential iteration quanta instead of a "
+        "fan-out");
+  }
+  if (!search.checkpoint_path.empty() && !quantum_mode) {
+    throw std::invalid_argument(
+        "a checkpoint requires the quantum mode (search.quanta or "
+        "search.wall_clock_s)");
+  }
+  if (search.resume && search.checkpoint_path.empty()) {
+    throw std::invalid_argument("resume requires a checkpoint path");
+  }
+}
 
 std::uint64_t checkpoint_identity(const std::string& optimizer,
                                   const metaheur::Options& options,

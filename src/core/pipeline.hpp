@@ -125,6 +125,13 @@ struct SearchConfig {
   bool resume = false;
 };
 
+/// The one rule set for search configurations, shared by the afp_cli flags
+/// and afpd requests: field ranges, restarts > 1 excludes the quantum mode
+/// (wall_clock_s and quanta), a checkpoint needs the quantum mode, and
+/// resume needs a checkpoint.  Throws std::invalid_argument naming the
+/// offending search.* member.
+void validate_search(const SearchConfig& search);
+
 /// Identity hash of a search configuration: the optimizer, its options,
 /// the instance size and the per-quantum iteration budget — everything the
 /// quantum stream depends on besides the base seed.  Guards checkpoint

@@ -271,7 +271,7 @@ double to_um(double v) { return v < 0.01 ? v * 1e6 : v; }
 struct SubcktDef {
   std::string name;  ///< original case
   int line = 0;
-  std::vector<std::string> ports;             ///< lowercased formals
+  std::vector<std::string> ports;             ///< formals, deck spelling
   std::vector<std::pair<std::string, std::string>> defaults;  ///< k, raw v
   std::vector<Stmt> body;                     ///< device cards, deck order
 };
@@ -330,7 +330,7 @@ Deck first_pass(const std::string& text, const std::string& file,
                                "' after default parameters on .subckt " +
                                def.name);
         } else {
-          def.ports.push_back(lower(s.tokens[i]));
+          def.ports.push_back(s.tokens[i]);
         }
       }
       const std::string key = lower(def.name);
@@ -639,7 +639,7 @@ struct Elab {
     // Child net map: formal ports -> mapped actuals.
     std::map<std::string, std::string> child_nets;
     for (std::size_t i = 0; i < bare.size(); ++i) {
-      child_nets[def.ports[i]] = map_net(bare[i], prefix, netmap);
+      child_nets[lower(def.ports[i])] = map_net(bare[i], prefix, netmap);
     }
     // Child scope: globals, then subckt defaults (evaluated in the parent
     // scope), then X-card overrides (also parent scope).

@@ -1,17 +1,18 @@
-// Transistor-level netlist representation with a small SPICE-like text
-// format (enough to round-trip the circuits this project uses).
+// Transistor-level netlist representation.  Netlist::to_spice writes a
+// SPICE deck that ingest::parse_deck (src/ingest) reads back exactly:
 //
-// Grammar (one statement per line, '*' comments, case-insensitive keys):
+//   * <name>
 //   .subckt <name> <port> ...
-//   M<name> <d> <g> <s> <b> <model> W=<um> L=<um> [NF=<int>]
-//   R<name> <a> <b> <ohms>
-//   C<name> <a> <b> <farads>
+//   <M-name> <d> <g> <s> <b> <nmos|pmos> W=<um> L=<um> NF=<int>
+//   <R-name> <a> <b> <ohms>
+//   <C-name> <a> <b> <farads>
 //   .ends
-// Models containing 'p' are PMOS, otherwise NMOS.
+//
+// Device names are written verbatim, so each must start with its card
+// letter (M, R or C); values are written at full precision.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -80,10 +81,10 @@ class Netlist {
   /// Total device area in um^2.
   double total_device_area() const;
 
-  /// Serializes to the SPICE-like text format.
+  /// Serializes to a SPICE deck (see the file comment).  Throws
+  /// std::invalid_argument when a device name does not start with its card
+  /// letter.
   std::string to_spice() const;
-  /// Parses one .subckt from text.  Throws std::runtime_error on errors.
-  static Netlist from_spice(const std::string& text);
 
  private:
   std::string name_ = "top";

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "core/report.hpp"
@@ -93,41 +94,41 @@ int as_bounded_int(const JsonValue& v, const std::string& what, long long lo,
   return static_cast<int>(x);
 }
 
-double as_budget_seconds(const JsonValue& v, const std::string& what) {
-  const double s = v.as_number();
-  if (!(s >= 0.0) || s > 1e9) bad(what + " must be in [0, 1e9] seconds");
-  return s;
-}
-
+/// Reads the search members (narrowed to their C++ types); the ranges and
+/// cross-field rules are core::validate_search's, shared with afp_cli.
 void parse_search(const JsonValue& v, core::SearchConfig* search) {
   check_members(v, "search", {"restarts", "base_seed", "iterations",
                               "wall_clock_s", "deadline_s", "quanta",
                               "max_retries"});
+  auto as_int = [](const JsonValue& m, const std::string& what) {
+    return as_bounded_int(m, what, std::numeric_limits<int>::min(),
+                          std::numeric_limits<int>::max());
+  };
   if (const JsonValue* m = v.find("restarts")) {
-    search->restarts = as_bounded_int(*m, "search.restarts", 1, 1 << 16);
+    search->restarts = as_int(*m, "search.restarts");
   }
   if (const JsonValue* m = v.find("base_seed")) {
     search->base_seed = m->as_uint("search.base_seed");
   }
   if (const JsonValue* m = v.find("iterations")) {
-    search->budget.iterations =
-        as_bounded_int(*m, "search.iterations", 0, 1 << 30);
+    search->budget.iterations = as_int(*m, "search.iterations");
   }
   if (const JsonValue* m = v.find("wall_clock_s")) {
-    search->budget.wall_clock_s = as_budget_seconds(*m, "search.wall_clock_s");
+    search->budget.wall_clock_s = m->as_number();
   }
   if (const JsonValue* m = v.find("deadline_s")) {
-    search->budget.deadline_s = as_budget_seconds(*m, "search.deadline_s");
+    search->budget.deadline_s = m->as_number();
   }
   if (const JsonValue* m = v.find("quanta")) {
-    search->budget.quanta = as_bounded_int(*m, "search.quanta", 0, 1 << 20);
+    search->budget.quanta = as_int(*m, "search.quanta");
   }
   if (const JsonValue* m = v.find("max_retries")) {
-    search->retry.max_retries =
-        as_bounded_int(*m, "search.max_retries", 0, 100);
+    search->retry.max_retries = as_int(*m, "search.max_retries");
   }
-  if (search->budget.wall_clock_s > 0.0 && search->restarts > 1) {
-    bad("search.restarts and search.wall_clock_s are mutually exclusive");
+  try {
+    core::validate_search(*search);
+  } catch (const std::invalid_argument& e) {
+    bad(e.what());
   }
 }
 

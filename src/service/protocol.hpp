@@ -12,9 +12,9 @@
 // Requests (client -> server), selected by the "type" member:
 //
 //   {"type": "submit", "circuit": <registry name>, ...}
-//       or "spice": <inline netlist text>, or "scenario": a generated-
-//       workload spec "family:size:seed[:key=val...]" — exactly one of the
-//       three.
+//       or "spice": an inline SPICE deck without a title line (parsed by
+//       ingest::parse_deck), or "scenario": a generated-workload spec
+//       "family:size:seed[:key=val...]" — exactly one of the three.
 //       Optional: "name" (job label, defaults to the circuit spec),
 //       "seed" (explicit rng seed; bitwise-matches `afp_cli floorplan
 //       --seed N`; 0/absent derives a per-job seed), "priority" (higher
@@ -116,7 +116,7 @@ class FrameReader {
 
 struct SubmitRequest {
   std::string circuit;       ///< registry circuit name ("" when spice given)
-  std::string spice;         ///< inline netlist text ("" when circuit given)
+  std::string spice;         ///< inline SPICE deck ("" when circuit given)
   /// Generated-workload spec "family:size:seed[:key=val...]" — the third
   /// exclusive workload source next to `circuit` and `spice`.
   std::string scenario;

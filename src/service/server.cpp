@@ -16,6 +16,7 @@
 #include <limits>
 
 #include "ingest/scenario.hpp"
+#include "ingest/spice_parser.hpp"
 #include "metaheur/optimizer.hpp"
 #include "netlist/library.hpp"
 
@@ -668,7 +669,7 @@ void Server::handle_submit(const std::shared_ptr<Session>& s,
       spec.netlist = sc.netlist;
       spec.config.scenario_constraints = sc.constraints;
     } else {
-      spec.netlist = netlist::Netlist::from_spice(req.spice);
+      spec.netlist = ingest::parse_deck(req.spice, "<spice>");
     }
   } catch (const std::exception& e) {
     write_frame(s, error_json(core::JobErrorKind::kInvalidConfig, e.what()));

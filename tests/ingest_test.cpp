@@ -6,6 +6,8 @@
 //   2. Subcircuit-expansion goldens: hierarchical decks elaborate with
 //      deterministic name prefixing, port-to-actual net mapping, global
 //      supplies and global -> subckt-default -> X-override param scoping.
+//      Netlist::to_spice round-trips through parse_deck exactly for every
+//      registry circuit and 300-block scenario.
 //   3. Scenario-generator property suite (200 seeded specs across all
 //      four families): generation is a pure function of the spec, the
 //      recognized block count and names match the generator's own
@@ -18,6 +20,7 @@
 #include "floorplan/instance.hpp"
 #include "ingest/scenario.hpp"
 #include "ingest/spice_parser.hpp"
+#include "netlist/library.hpp"
 
 namespace afp {
 namespace {
@@ -96,6 +99,7 @@ TEST(SpiceParser, BadDeviceParametersAreErrors) {
   expect_error("M1 d g s\n", 1, "needs <d> <g> <s> <b> <model>");
   expect_error("M1 d g s b nch w=1u stray\n", 1,
                "positional field 'stray' after parameter assignments");
+  expect_error(".subckt x\nQ1 a b c\n.ends\n", 2, "BJT card 'Q1' needs");
 }
 
 TEST(SpiceParser, UnknownDirectiveIsAnError) {
@@ -194,6 +198,76 @@ TEST(SpiceParser, InternalNetsArePrefixedPerInstance) {
   EXPECT_EQ(nl.device(0).drain(), "X3.mid");
   EXPECT_EQ(nl.device(1).gate(), "X3.mid");
   EXPECT_EQ(nl.device(2).drain(), "X4.mid");  // no cross-instance sharing
+}
+
+TEST(SpiceParser, TopCellPortsKeepTheirSpelling) {
+  const std::string deck =
+      ".subckt ota VDD VSS InP Out\n"
+      "X1 InP Out stage\n"
+      ".ends\n"
+      ".subckt stage IN OUT\n"
+      "M1 out in VSS VSS nch w=1u\n"
+      ".ends\n";
+  const auto nl = parse(deck);
+  EXPECT_EQ(nl.name(), "ota");
+  EXPECT_EQ(nl.ports(),
+            (std::vector<std::string>{"VDD", "VSS", "InP", "Out"}));
+  // Formals still bind case-insensitively inside the hierarchy.
+  ASSERT_EQ(nl.num_devices(), 1);
+  EXPECT_EQ(nl.device(0).drain(), "Out");
+  EXPECT_EQ(nl.device(0).gate(), "InP");
+}
+
+// ------------------------------------------------ to_spice round trip ---
+
+/// Netlist::to_spice -> parse_deck must reproduce the netlist exactly:
+/// names, ports, device names/types/terminals and every card value bitwise.
+void expect_round_trip(const netlist::Netlist& orig) {
+  const std::string text = orig.to_spice();
+  const netlist::Netlist back = parse(text);
+  EXPECT_EQ(back.name(), orig.name());
+  EXPECT_EQ(back.ports(), orig.ports()) << orig.name();
+  ASSERT_EQ(back.num_devices(), orig.num_devices()) << orig.name();
+  for (int i = 0; i < orig.num_devices(); ++i) {
+    const netlist::Device& a = orig.device(i);
+    const netlist::Device& b = back.device(i);
+    EXPECT_EQ(b.name, a.name);
+    EXPECT_EQ(b.type, a.type) << a.name;
+    EXPECT_EQ(b.terminals, a.terminals) << a.name;
+    if (a.is_mos()) {  // the fields a MOS card carries
+      EXPECT_EQ(b.width_um, a.width_um) << a.name;
+      EXPECT_EQ(b.length_um, a.length_um) << a.name;
+      EXPECT_EQ(b.fingers, a.fingers) << a.name;
+    } else {  // the one value an R/C card carries
+      EXPECT_EQ(b.value, a.value) << a.name;
+    }
+  }
+  // parse_file reads the "* <name>" first line as the deck's title.
+  EXPECT_EQ(text.rfind("* " + orig.name() + "\n", 0), 0u);
+}
+
+TEST(SpiceParser, ToSpiceRoundTripsRegistryCircuitsExactly) {
+  for (const auto& entry : netlist::circuit_registry()) {
+    SCOPED_TRACE(entry.name);
+    expect_round_trip(entry.make());
+  }
+}
+
+TEST(SpiceParser, ToSpiceRoundTripsLargeScenariosExactly) {
+  for (const char* family : {"ota", "bias", "latch", "driver"}) {
+    SCOPED_TRACE(family);
+    expect_round_trip(
+        ingest::make_scenario(
+            ingest::ScenarioSpec::parse(std::string(family) + ":300:1"))
+            .netlist);
+  }
+}
+
+TEST(SpiceParser, ToSpiceRejectsNamesWithoutTheirCardLetter) {
+  netlist::Netlist nl("bad");
+  nl.add_device({"1", netlist::DeviceType::kResistor, {"a", "b"}, 0, 0, 1,
+                 1000.0});
+  EXPECT_THROW((void)nl.to_spice(), std::invalid_argument);
 }
 
 // ------------------------------------------- scenario generator properties ---

@@ -59,47 +59,6 @@ TEST(Netlist, DevicesOnNet) {
   EXPECT_EQ(on_tail.size(), 3u);  // diff pair (2) + tail source
 }
 
-TEST(Spice, RoundTrip) {
-  const Netlist orig = make_ota2();
-  const std::string text = orig.to_spice();
-  const Netlist parsed = Netlist::from_spice(text);
-  EXPECT_EQ(parsed.name(), orig.name());
-  EXPECT_EQ(parsed.ports(), orig.ports());
-  ASSERT_EQ(parsed.num_devices(), orig.num_devices());
-  for (int i = 0; i < orig.num_devices(); ++i) {
-    EXPECT_EQ(parsed.device(i).name, orig.device(i).name);
-    EXPECT_EQ(parsed.device(i).type, orig.device(i).type);
-    EXPECT_EQ(parsed.device(i).terminals, orig.device(i).terminals);
-    if (orig.device(i).is_mos()) {
-      EXPECT_NEAR(parsed.device(i).width_um, orig.device(i).width_um, 1e-9);
-      EXPECT_EQ(parsed.device(i).fingers, orig.device(i).fingers);
-    } else {
-      EXPECT_NEAR(parsed.device(i).value, orig.device(i).value,
-                  1e-9 * std::abs(orig.device(i).value));
-    }
-  }
-}
-
-TEST(Spice, ParsesComments) {
-  const std::string text =
-      "* comment line\n"
-      ".subckt inv VDD VSS in out\n"
-      "MP1 out in VDD VDD pmos W=2.0 L=0.18 NF=1\n"
-      "MN1 out in VSS VSS nmos W=1.0 L=0.18 NF=1\n"
-      ".ends\n";
-  const Netlist nl = Netlist::from_spice(text);
-  EXPECT_EQ(nl.num_devices(), 2);
-  EXPECT_EQ(nl.device(0).type, DeviceType::kPmos);
-  EXPECT_EQ(nl.device(1).type, DeviceType::kNmos);
-}
-
-TEST(Spice, MalformedThrows) {
-  EXPECT_THROW(Netlist::from_spice("MX a b\n"), std::runtime_error);
-  EXPECT_THROW(
-      Netlist::from_spice(".subckt x\nQ1 a b c\n.ends\n"),
-      std::runtime_error);
-}
-
 TEST(Library, RegistryCircuitsBuild) {
   for (const auto& entry : circuit_registry()) {
     const Netlist nl = entry.make();

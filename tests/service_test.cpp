@@ -22,6 +22,7 @@
 #include "core/job_service.hpp"
 #include "core/report.hpp"
 #include "ingest/scenario.hpp"
+#include "ingest/spice_parser.hpp"
 #include "netlist/library.hpp"
 #include "service/admission.hpp"
 #include "service/client.hpp"
@@ -453,6 +454,41 @@ TEST_F(ServiceE2E, ScenarioSubmitMatchesInProcessGeneration) {
   EXPECT_EQ(client.await_result(again.job).status, "done");
 }
 
+TEST_F(ServiceE2E, SpiceSubmitMatchesInProcessParse) {
+  std::ifstream in(AFP_EXAMPLES_DIR "/two_stage_ota.sp");
+  const std::string deck(std::istreambuf_iterator<char>(in), {});
+  ASSERT_FALSE(deck.empty());
+  start_server({});
+  Client client = connect();
+  const auto acc = client.submit_spice(deck, "ota_deck", 13, 0,
+                                       config_json(60));
+  const Client::Result res = client.await_result(acc.job);
+  EXPECT_EQ(res.status, "done");
+
+  // Served bytes == parse_deck of the same text run in process.
+  core::JobSpec spec;
+  spec.name = "ota_deck";
+  spec.netlist = ingest::parse_deck(deck);
+  spec.config.search.budget.iterations = 60;
+  const core::JobReport rep =
+      core::JobService::run_job(spec, 0, 13, nullptr, {});
+  EXPECT_EQ(rep.status, core::JobStatus::kDone);
+  EXPECT_EQ(normalize_timings(res.report_raw),
+            normalize_timings(core::report_json(rep.result, rep.name,
+                                                rep.optimizer, rep.options,
+                                                rep.search, rep.seed)));
+
+  // A malformed deck is an invalid_config rejection carrying its line.
+  try {
+    client.submit_spice(".subckt x a\nM1 a a VSS VSS nch\n", "bad", 1);
+    FAIL() << "unterminated deck accepted";
+  } catch (const ServerError& e) {
+    EXPECT_EQ(e.kind, "invalid_config");
+    EXPECT_NE(std::string(e.what()).find("<spice>:1:"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(ServiceE2E, SeedlessSubmitsDeriveDistinctSeeds) {
   start_server({});
   Client client = connect();
@@ -549,6 +585,8 @@ TEST_F(ServiceE2E, MalformedSubmitsGetStructuredErrorsSessionSurvives) {
       R"(["not", "an", "object"])",
       R"({"type": "submit", "circuit": "ota_small",
           "config": {"search": {"restarts": 4, "wall_clock_s": 0.1}}})",
+      R"({"type": "submit", "circuit": "ota_small",
+          "config": {"search": {"restarts": 4, "quanta": 2}}})",
   };
   for (const char* payload : bad) {
     client.send_frame(payload);
@@ -891,7 +929,11 @@ TEST_F(ServiceE2E, JournalReplayAfterSimulatedCrashSurfacesOrphans) {
   // The replayed journal was reset: a finished job leaves nothing behind.
   const auto ok = fresh.submit("ota_small", 5, 0, config_json(40));
   EXPECT_EQ(fresh.await_result(ok.job).status, "done");
-  EXPECT_EQ(server_->stats_snapshot().journal_live, 0u);
+  // The result frame goes out before the journal entry is removed (a crash
+  // in between must leave an orphan), so wait for the removal.
+  EXPECT_TRUE(wait_stats([](const service::ServerStats& st) {
+    return st.journal_live == 0;
+  }));
 }
 
 TEST_F(ServiceE2E, InjectedFaultsDoNotPerturbOtherSessionsJobs) {

@@ -4,26 +4,31 @@
 //       List the built-in circuit registry.
 //   afp list-baselines
 //       List the registered optimizers: name, encoding, tunable options.
-//   afp floorplan <circuit|netlist.sp> | --batch <dir|manifest>
+//   afp floorplan <circuit|deck.sp> | --batch <dir|manifest>
+//       | --scenario SPEC | --scenario-matrix SPEC
 //       [--baseline <name>] [--opt k=v[,k=v...]] [--restarts N] [--iters N]
 //       [--time-budget S] [--constrained] [--seed N] [--svg out.svg]
 //       [--report out.txt] [--report-json out.json]
-//       Run the full pipeline with a registry optimizer — one circuit, or an
-//       async batch over a directory of .sp netlists / a manifest file.
+//       Run the full pipeline with a registry optimizer — one circuit, or a
+//       batch over a directory of .sp decks / a manifest file, or generated
+//       scenarios.
+//   afp ingest <deck.sp> [--top CELL] [--parse-only] [search options]
+//       Parse and elaborate a SPICE deck, then run it like floorplan.
 //   afp train [--episodes N] [--seed N] [--out prefix]
 //       Pre-train the R-GCN and HCL-train the PPO agent; writes
 //       <prefix>_policy.bin and <prefix>_encoder.bin.
-//   afp eval <circuit|netlist.sp> --agent prefix [--attempts K] [--seed N]
+//   afp eval <circuit|deck.sp> --agent prefix [--attempts K] [--seed N]
 //       [--constrained] [--svg out.svg]
 //       Floorplan with a trained agent checkpoint (zero-shot).
-//   afp graph <circuit|netlist.sp> [--dot out.dot]
+//   afp graph <circuit|deck.sp> [--dot out.dot]
 //       Print the heterogeneous circuit graph.
 //
 // Global options: --threads N (numeric thread-pool size), --tier
 // naive|scalar|avx2|auto (kernel tier), --help.  See kUsage below.
 //
 // Every numeric option is validated; a malformed value (like an unknown
-// flag) exits with code 2 and the usage text on stderr.
+// flag) exits with code 2 and the usage text on stderr.  A <circuit> that
+// is not in the registry is read as a SPICE deck by ingest::parse_file.
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -34,8 +39,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -62,7 +69,7 @@ commands:
   list                              List the built-in circuit registry.
   list-baselines                    List the registered optimizers: name,
                                     encoding and tunable options.
-  floorplan <circuit|netlist.sp>    Run the full pipeline with a registry
+  floorplan <circuit|deck.sp>       Run the full pipeline with a registry
       [--baseline B] [--opt k=v]    optimizer.  --batch runs an async job
       [--batch dir|manifest]        batch instead of one circuit;
       [--scenario F:S:SEED]         --scenario runs one generated workload
@@ -80,47 +87,44 @@ commands:
   train [--episodes N] [--seed N]   Pre-train the R-GCN and HCL-train the
       [--out prefix]                PPO agent; writes <prefix>_policy.bin
                                     and <prefix>_encoder.bin.
-  eval <circuit|netlist.sp>         Floorplan with a trained agent
+  eval <circuit|deck.sp>            Floorplan with a trained agent
       --agent prefix [--attempts K] checkpoint (zero-shot).
       [--seed N] [--constrained]
       [--svg out.svg]
-  graph <circuit|netlist.sp>        Print the heterogeneous circuit graph.
+  graph <circuit|deck.sp>           Print the heterogeneous circuit graph.
       [--dot out.dot]
 
-search options (floorplan):
+search options (floorplan, ingest):
   --baseline B  Registry optimizer name (see `afp list-baselines`):
                 sa | ga | pso | rlsa | rlsp | sab | pt | pt-bstar
-                (default sa; --method and sa-bstar stay as aliases).
+                (default sa).
   --opt k=v     Set an optimizer option (repeatable; commas separate
-                several pairs).  `afp list-baselines` shows each
-                optimizer's keys and defaults.
+                several pairs), e.g. --opt replicas=4,swap_interval=16
+                for pt.  `afp list-baselines` shows each optimizer's keys
+                and defaults.
   --restarts N  Best-of-N independent searches on the thread pool
                 (default 1).  Deterministic for any thread count.
   --iters N     Override the optimizer's primary budget knob (moves,
                 generations, sweeps, episodes or per-replica moves).
-  --pt-replicas K       Alias for --opt replicas=K (pt baselines).
-  --pt-swap-interval M  Alias for --opt swap_interval=M (pt baselines).
-  --pt-adaptive         Alias for --opt adaptive_swap=true (pt baselines).
   --time-budget S  Wall-clock budget in seconds: iteration quanta race the
                 deadline (deterministic per completed quantum count).
-                Mutually exclusive with --restarts.
+                Excludes --restarts > 1.
   --quanta N    Run exactly N iteration quanta (deterministic fixed-quanta
-                mode; no wall clock involved).  Mutually exclusive with
-                --restarts.
+                mode; no wall clock involved).  Excludes --restarts > 1.
   --job-timeout S  Hard per-job watchdog deadline in seconds.  A job that
                 overruns is terminated at the next quantum/iteration
                 boundary with status deadline_exceeded; partial results
                 are discarded.
-  --max-retries N  Retry a failed job up to N times (retryable error kinds
-                only: optimizer_failure, resource_exhausted) with capped
-                exponential backoff.  Each attempt draws a fresh
-                deterministic seed; default 0.
+  --max-retries N  Retry a failed job up to N (<= 100) times (retryable
+                error kinds only: optimizer_failure, resource_exhausted)
+                with capped exponential backoff.  Each attempt draws a
+                fresh deterministic seed; default 0.
   --checkpoint F  Persist per-quantum search state to file F (atomic
                 write).  Requires --quanta or --time-budget.
   --resume      Resume from --checkpoint F when it exists; the resumed
                 run is bitwise identical to an uninterrupted one.
   --batch P     Batch mode: P is a directory (every *.sp file, sorted) or
-                a manifest file (one circuit/netlist path per line, #
+                a manifest file (one circuit name or deck path per line, #
                 comments).  Jobs run concurrently on the thread pool with
                 per-job SplitMix64 seeds derived from --seed.  Entries
                 that fail to load are skipped (reported as failed with
@@ -154,8 +158,9 @@ global options:
   --help, -h    Show this message.
 
 A <circuit> argument is first looked up in the registry (see `afp list`);
-otherwise it is treated as a path to a SPICE-like netlist file.
-Unknown options and malformed numeric values are rejected with exit code 2.
+otherwise it is read as a SPICE deck (the first line is its title).
+Unknown options and malformed numeric values are rejected with exit code 2;
+so is a malformed deck, with a file:line diagnostic.
 )";
 
 /// Usage-level error: message + usage text on stderr, exit code 2.
@@ -166,23 +171,23 @@ struct UsageError : std::runtime_error {
 /// Options every command accepts.
 const std::set<std::string> kGlobalOptions = {"threads", "tier", "help", "h"};
 
+/// The search options floorplan and ingest share (see build_search).
+std::set<std::string> search_options_plus(std::set<std::string> extra) {
+  extra.insert({"baseline", "constrained", "seed", "svg", "report",
+                "report-json", "restarts", "iters", "opt", "time-budget",
+                "quanta", "job-timeout", "max-retries", "checkpoint",
+                "resume"});
+  return extra;
+}
+
 /// Per-command options; anything outside the command's set plus the globals
 /// is a usage error (exit code 2) instead of being silently ignored — this
 /// also catches options that only exist on a *different* command.
 const std::map<std::string, std::set<std::string>> kCommandOptions = {
     {"list", {}},
     {"list-baselines", {}},
-    {"floorplan",
-     {"method", "baseline", "constrained", "seed", "svg", "report",
-      "report-json", "restarts", "iters", "opt", "batch", "time-budget",
-      "quanta", "job-timeout", "max-retries", "checkpoint", "resume",
-      "pt-replicas", "pt-swap-interval", "pt-adaptive", "scenario",
-      "scenario-matrix"}},
-    {"ingest",
-     {"top", "parse-only", "method", "baseline", "constrained", "seed",
-      "svg", "report", "report-json", "restarts", "iters", "opt",
-      "time-budget", "quanta", "job-timeout", "max-retries", "checkpoint",
-      "resume", "pt-replicas", "pt-swap-interval", "pt-adaptive"}},
+    {"floorplan", search_options_plus({"batch", "scenario", "scenario-matrix"})},
+    {"ingest", search_options_plus({"top", "parse-only"})},
     {"train", {"episodes", "seed", "out"}},
     {"eval", {"agent", "attempts", "seed", "constrained", "svg"}},
     {"graph", {"dot"}},
@@ -241,19 +246,21 @@ struct Args {
 // `--seed abc` and surface as a generic exit-1 error; numeric options are a
 // usage problem and must exit 2 with the usage text, like unknown flags.
 
-long long parse_int_or_die(const Args& args, const std::string& key,
-                           long long dflt, long long min_value) {
+int parse_int_or_die(const Args& args, const std::string& key, int dflt,
+                     int min_value = std::numeric_limits<int>::min()) {
   const std::string s = args.get(key, std::to_string(dflt));
   long long v = 0;
   if (!metaheur::parse_strict_int(s, &v)) {
     throw UsageError("option '--" + key + "' expects an integer, got '" + s +
                      "'");
   }
-  if (v < min_value) {
-    throw UsageError("option '--" + key + "' must be >= " +
-                     std::to_string(min_value) + ", got '" + s + "'");
+  if (v < min_value || v > std::numeric_limits<int>::max()) {
+    throw UsageError("option '--" + key + "' must be in [" +
+                     std::to_string(min_value) + ", " +
+                     std::to_string(std::numeric_limits<int>::max()) +
+                     "], got '" + s + "'");
   }
-  return v;
+  return static_cast<int>(v);
 }
 
 std::uint64_t parse_u64_or_die(const Args& args, const std::string& key,
@@ -280,18 +287,17 @@ double parse_double_or_die(const Args& args, const std::string& key,
   return v;
 }
 
+/// A registry circuit by name, else a SPICE deck file (ingest::ParseError
+/// with file:line when malformed).
 netlist::Netlist load_circuit(const std::string& spec) {
   for (const auto& e : netlist::circuit_registry()) {
     if (e.name == spec) return e.make();
   }
-  std::ifstream is(spec);
-  if (!is) {
+  if (!std::ifstream(spec)) {
     throw std::runtime_error("'" + spec +
                              "' is neither a registry circuit nor a file");
   }
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return netlist::Netlist::from_spice(ss.str());
+  return ingest::parse_file(spec);
 }
 
 void print_result(const core::PipelineResult& res) {
@@ -381,11 +387,9 @@ void write_file(const std::string& path, const std::string& content) {
   }
 }
 
-/// Resolves --baseline/--method (plus aliases) to a registry name.
+/// Resolves --baseline to a registry name.
 std::string baseline_name(const Args& args) {
-  std::string name = args.has("baseline") ? args.get("baseline", "sa")
-                                          : args.get("method", "sa");
-  if (name == "sa-bstar") name = "sab";
+  const std::string name = args.get("baseline", "sa");
   if (!metaheur::OptimizerRegistry::global().contains(name)) {
     std::string known;
     for (const auto& n : metaheur::optimizer_names()) {
@@ -397,9 +401,8 @@ std::string baseline_name(const Args& args) {
   return name;
 }
 
-/// Collects --opt k=v[,k=v...] pairs plus the --pt-* convenience aliases
-/// into one option map.
-metaheur::Options gather_options(const Args& args, const std::string& name) {
+/// Collects --opt k=v[,k=v...] pairs into one option map.
+metaheur::Options gather_options(const Args& args) {
   metaheur::Options opts;
   for (const auto& arg : args.get_all("opt")) {
     std::stringstream ss(arg);
@@ -412,21 +415,6 @@ metaheur::Options gather_options(const Args& args, const std::string& name) {
       opts[pair.substr(0, eq)] = pair.substr(eq + 1);
     }
   }
-  const bool is_pt = name == "pt" || name == "pt-bstar";
-  if (!is_pt && (args.has("pt-replicas") || args.has("pt-swap-interval") ||
-                 args.has("pt-adaptive"))) {
-    throw UsageError("--pt-* options apply to the pt/pt-bstar baselines only "
-                     "(got baseline '" + name + "')");
-  }
-  if (args.has("pt-replicas")) {
-    opts["replicas"] =
-        std::to_string(parse_int_or_die(args, "pt-replicas", 3, 2));
-  }
-  if (args.has("pt-swap-interval")) {
-    opts["swap_interval"] =
-        std::to_string(parse_int_or_die(args, "pt-swap-interval", 8, 1));
-  }
-  if (args.has("pt-adaptive")) opts["adaptive_swap"] = "true";
   return opts;
 }
 
@@ -463,111 +451,6 @@ std::vector<std::string> batch_inputs(const std::string& path) {
   return inputs;
 }
 
-int cmd_floorplan_batch(const Args& args, const core::PipelineConfig& cfg,
-                        const std::string& name, std::uint64_t seed) {
-  const auto inputs = batch_inputs(args.get("batch", ""));
-  // A manifest entry that fails to load (unreadable file, unparsable
-  // netlist) must not abort the batch: it is skipped here and reported as a
-  // failed job with kind invalid_config.  Runnable jobs keep their manifest
-  // position (ids, per-job seeds and checkpoint paths are derived from it),
-  // so adding or fixing a broken line never reshuffles sibling results.
-  std::vector<core::JobSpec> jobs;
-  std::vector<std::size_t> job_pos;
-  std::vector<core::JobReport> reports(inputs.size());
-  jobs.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    core::JobSpec spec;
-    spec.name = std::filesystem::path(inputs[i]).stem().string();
-    spec.config = cfg;
-    if (!cfg.search.checkpoint_path.empty()) {
-      spec.config.search.checkpoint_path =
-          cfg.search.checkpoint_path + ".job" + std::to_string(i);
-    }
-    try {
-      spec.netlist = load_circuit(inputs[i]);
-    } catch (const std::exception& e) {
-      core::JobReport& r = reports[i];
-      r.id = i;
-      r.name = spec.name;
-      r.optimizer = cfg.optimizer;
-      r.search = spec.config.search;
-      r.seed = core::JobService::job_seed(seed, i);
-      r.status = core::JobStatus::kFailed;
-      r.error = {core::JobErrorKind::kInvalidConfig, e.what(), i, -1};
-      std::fprintf(stderr, "batch: skipping '%s': %s\n", inputs[i].c_str(),
-                   e.what());
-      continue;
-    }
-    job_pos.push_back(i);
-    jobs.push_back(std::move(spec));
-  }
-
-  std::printf("batch: %zu jobs (%zu skipped) | optimizer %s | %d threads | "
-              "seed %llu%s\n",
-              inputs.size(), inputs.size() - jobs.size(), name.c_str(),
-              num::num_threads(), static_cast<unsigned long long>(seed),
-              cfg.search.budget.wall_clock_s > 0.0 ? " | time-budgeted" : "");
-  std::mutex io_mu;
-  core::JobServiceOptions sopts;
-  sopts.base_seed = seed;
-  sopts.on_progress = [&](const core::JobProgress& p) {
-    std::lock_guard<std::mutex> lock(io_mu);
-    std::printf("  [%zu] %-16s %s (%.2fs)%s\n", p.id, p.name.c_str(),
-                core::to_string(p.status), p.runtime_s,
-                p.attempt > 0 ? " [retry]" : "");
-  };
-  if (!jobs.empty()) {
-    // Seed per-job streams from the manifest position, not the compacted
-    // vector index, so results are invariant to skipped siblings.
-    std::vector<core::JobReport> ran(jobs.size());
-    num::parallel_for(
-        static_cast<std::int64_t>(jobs.size()), 1,
-        [&](std::int64_t b0, std::int64_t b1) {
-          for (std::int64_t b = b0; b < b1; ++b) {
-            const auto j = static_cast<std::size_t>(b);
-            ran[j] = core::JobService::run_job(
-                jobs[j], job_pos[j], core::JobService::job_seed(seed,
-                                                               job_pos[j]),
-                nullptr, sopts.on_progress);
-          }
-        });
-    for (std::size_t j = 0; j < ran.size(); ++j) {
-      reports[job_pos[j]] = std::move(ran[j]);
-    }
-  }
-
-  std::printf("\n%-16s %-10s %12s %12s %10s %10s %8s\n", "job", "status",
-              "cost", "HPWL(um)", "reward", "runtime", "quanta");
-  std::size_t done = 0;
-  for (const auto& r : reports) {
-    if (r.status != core::JobStatus::kDone) {
-      std::printf("%-16s %-10s %12s %12s %10s %9.2fs %8s  [%s] %s\n",
-                  r.name.c_str(), core::to_string(r.status), "-", "-", "-",
-                  r.runtime_s, "-", core::to_string(r.error.kind),
-                  r.error.message.c_str());
-      continue;
-    }
-    ++done;
-    std::printf("%-16s %-10s %12.4f %12.1f %10.2f %9.2fs %8ld\n",
-                r.name.c_str(), core::to_string(r.status),
-                metaheur::sp_cost(r.result.instance, r.result.rects),
-                r.result.eval.hpwl, r.result.eval.reward, r.runtime_s,
-                r.result.quanta);
-  }
-  if (args.has("report-json")) {
-    const std::string path = args.get("report-json", "batch.json");
-    write_file(path,
-               core::batch_report_json(reports, seed,
-                                       cfg.search.budget.wall_clock_s,
-                                       num::num_threads()));
-    std::printf("wrote %s\n", path.c_str());
-  }
-  // 0: every job done; 1: nothing succeeded; 3: partial failure (some jobs
-  // done, some failed/skipped) — distinct from 2, which stays usage-only.
-  if (done == reports.size()) return 0;
-  return done == 0 ? 1 : 3;
-}
-
 /// The fully validated search configuration shared by the floorplan,
 /// ingest and scenario paths: pipeline config, resolved optimizer options
 /// and the base seed.
@@ -578,26 +461,22 @@ struct SearchSetup {
   std::uint64_t seed = 1;
 };
 
+/// Reads the search flags; ranges and cross-field rules are
+/// core::validate_search's (shared with afpd), the optimizer options are
+/// checked by the optimizer itself.  Every violation is a usage error.
 SearchSetup build_search(const Args& args) {
-  const std::string name = baseline_name(args);
-
-  core::PipelineConfig cfg;
+  SearchSetup setup;
+  setup.baseline = baseline_name(args);
+  setup.seed = parse_u64_or_die(args, "seed", 1);
+  core::PipelineConfig& cfg = setup.cfg;
   cfg.constrained = args.has("constrained");
-  cfg.optimizer = name;
-  cfg.options = gather_options(args, name);
-  cfg.search.restarts =
-      static_cast<int>(parse_int_or_die(args, "restarts", 1, 1));
+  cfg.optimizer = setup.baseline;
+  cfg.options = gather_options(args);
+  cfg.search.restarts = parse_int_or_die(args, "restarts", 1);
   if (args.has("iters")) {
-    cfg.search.budget.iterations =
-        static_cast<int>(parse_int_or_die(args, "iters", 0, 1));
+    cfg.search.budget.iterations = parse_int_or_die(args, "iters", 0, 1);
   }
   if (args.has("time-budget")) {
-    if (args.has("restarts")) {
-      throw UsageError(
-          "--restarts and --time-budget are mutually exclusive: the "
-          "time-budgeted mode races iteration quanta instead of a fixed "
-          "fan-out");
-    }
     const double budget = parse_double_or_die(args, "time-budget", 0.0);
     if (budget <= 0.0) {
       throw UsageError("option '--time-budget' must be > 0 seconds");
@@ -605,13 +484,7 @@ SearchSetup build_search(const Args& args) {
     cfg.search.budget.wall_clock_s = budget;
   }
   if (args.has("quanta")) {
-    if (args.has("restarts")) {
-      throw UsageError(
-          "--restarts and --quanta are mutually exclusive: the fixed-quanta "
-          "mode runs sequential iteration quanta instead of a fan-out");
-    }
-    cfg.search.budget.quanta =
-        static_cast<int>(parse_int_or_die(args, "quanta", 0, 1));
+    cfg.search.budget.quanta = parse_int_or_die(args, "quanta", 0, 1);
   }
   if (args.has("job-timeout")) {
     const double deadline = parse_double_or_die(args, "job-timeout", 0.0);
@@ -620,37 +493,21 @@ SearchSetup build_search(const Args& args) {
     }
     cfg.search.budget.deadline_s = deadline;
   }
-  cfg.search.retry.max_retries =
-      static_cast<int>(parse_int_or_die(args, "max-retries", 0, 0));
+  cfg.search.retry.max_retries = parse_int_or_die(args, "max-retries", 0);
   if (args.has("checkpoint")) {
-    if (cfg.search.budget.quanta <= 0 &&
-        cfg.search.budget.wall_clock_s <= 0.0) {
-      throw UsageError(
-          "--checkpoint requires a quantum-granular search "
-          "(--quanta or --time-budget)");
-    }
     cfg.search.checkpoint_path = args.get("checkpoint", "");
     if (cfg.search.checkpoint_path.empty()) {
       throw UsageError("option '--checkpoint' expects a file path");
     }
   }
-  if (args.has("resume")) {
-    if (cfg.search.checkpoint_path.empty()) {
-      throw UsageError("--resume requires --checkpoint <file>");
-    }
-    cfg.search.resume = true;
-  }
-  // Validate the optimizer + option map up front: a bad --opt key/value is
-  // a usage error (exit 2), not a runtime failure.
-  SearchSetup setup;
+  cfg.search.resume = args.has("resume");
   try {
-    setup.resolved = metaheur::make_optimizer(name, cfg.options)->options();
+    core::validate_search(cfg.search);
+    setup.resolved = metaheur::make_optimizer(cfg.optimizer, cfg.options)
+                         ->options();
   } catch (const std::invalid_argument& e) {
     throw UsageError(e.what());
   }
-  setup.cfg = std::move(cfg);
-  setup.baseline = name;
-  setup.seed = parse_u64_or_die(args, "seed", 1);
   return setup;
 }
 
@@ -687,12 +544,7 @@ int run_single(const Args& args, const SearchSetup& setup,
     std::printf("wrote %s\n", args.get("svg", "layout.svg").c_str());
   }
   if (args.has("report")) {
-    // The text report names the user-facing baseline spelling, which keeps
-    // historic reports (e.g. the e2e determinism goldens) byte-compatible.
-    const std::string spelled = args.has("baseline")
-                                    ? args.get("baseline", "sa")
-                                    : args.get("method", "sa");
-    write_report(args.get("report", "report.txt"), spelled, res);
+    write_report(args.get("report", "report.txt"), setup.baseline, res);
     std::printf("wrote %s\n", args.get("report", "report.txt").c_str());
   }
   if (args.has("report-json")) {
@@ -703,6 +555,129 @@ int run_single(const Args& args, const SearchSetup& setup,
     std::printf("wrote %s\n", path.c_str());
   }
   return 0;
+}
+
+/// Batch job at manifest position `pos`: its seed and checkpoint path
+/// derive from the position, so a skipped sibling never shifts them.
+core::JobSpec batch_job(const SearchSetup& setup, std::size_t pos,
+                        std::string name) {
+  core::JobSpec spec;
+  spec.name = std::move(name);
+  spec.config = setup.cfg;
+  spec.seed = core::JobService::job_seed(setup.seed, pos);
+  if (!setup.cfg.search.checkpoint_path.empty()) {
+    spec.config.search.checkpoint_path += ".job" + std::to_string(pos);
+  }
+  return spec;
+}
+
+/// Runs the loadable `jobs` (at manifest positions `pos`) as one
+/// JobService batch, puts each report back at its position in `reports`
+/// (which already holds the entries that failed to load), prints the
+/// result table and summary, honors --report-json and returns the exit
+/// code: 0 every job done, 1 none, 3 partial failure (2 stays usage-only).
+int run_batch(const Args& args, const SearchSetup& setup, const char* label,
+              const std::vector<core::JobSpec>& jobs,
+              const std::vector<std::size_t>& pos,
+              std::vector<core::JobReport> reports) {
+  std::printf("%s: %zu jobs (%zu skipped) | optimizer %s | %d threads | "
+              "seed %llu%s\n",
+              label, reports.size(), reports.size() - jobs.size(),
+              setup.baseline.c_str(), num::num_threads(),
+              static_cast<unsigned long long>(setup.seed),
+              setup.cfg.search.budget.wall_clock_s > 0.0 ? " | time-budgeted"
+                                                         : "");
+  std::mutex io_mu;
+  core::JobServiceOptions sopts;
+  sopts.base_seed = setup.seed;
+  sopts.on_progress = [&](const core::JobProgress& p) {
+    std::lock_guard<std::mutex> lock(io_mu);
+    std::printf("  [%zu] %-24s %s (%.2fs)%s\n", p.id, p.name.c_str(),
+                core::to_string(p.status), p.runtime_s,
+                p.attempt > 0 ? " [retry]" : "");
+  };
+  auto ran = core::JobService::run_batch(jobs, sopts);
+  for (std::size_t j = 0; j < ran.size(); ++j) {
+    reports[pos[j]] = std::move(ran[j]);
+  }
+
+  std::printf("\n%-24s %-10s %12s %12s %11s %10s %8s\n", "job", "status",
+              "cost", "HPWL(um)", "constraints", "runtime", "quanta");
+  std::size_t done = 0, satisfied = 0, constrained = 0;
+  for (const auto& r : reports) {
+    if (r.status != core::JobStatus::kDone) {
+      std::printf("%-24s %-10s %12s %12s %11s %9.2fs %8s  [%s] %s\n",
+                  r.name.c_str(), core::to_string(r.status), "-", "-", "-",
+                  r.runtime_s, "-", core::to_string(r.error.kind),
+                  r.error.message.c_str());
+      continue;
+    }
+    ++done;
+    // Constrained jobs show the violated/total item breakdown, so a
+    // near-miss reads differently from an unconstrained run.
+    char cons[24];
+    if (r.result.instance.constraints.empty()) {
+      std::snprintf(cons, sizeof cons, "none");
+    } else {
+      ++constrained;
+      if (r.result.eval.constraints_ok) {
+        ++satisfied;
+        std::snprintf(cons, sizeof cons, "ok");
+      } else {
+        std::snprintf(cons, sizeof cons, "%d/%d",
+                      r.result.eval.constraint_violations,
+                      r.result.eval.constraint_items);
+      }
+    }
+    std::printf("%-24s %-10s %12.4f %12.1f %11s %9.2fs %8ld\n",
+                r.name.c_str(), core::to_string(r.status),
+                metaheur::sp_cost(r.result.instance, r.result.rects),
+                r.result.eval.hpwl, cons, r.runtime_s, r.result.quanta);
+  }
+  std::printf("\n%s: %zu/%zu done | constraints satisfied %zu/%zu\n", label,
+              done, reports.size(), satisfied, constrained);
+  if (args.has("report-json")) {
+    const std::string path = args.get("report-json", "");
+    write_file(path, core::batch_report_json(
+                         reports, setup.seed,
+                         setup.cfg.search.budget.wall_clock_s,
+                         num::num_threads()));
+    std::printf("wrote %s\n", path.c_str());
+  }
+  if (done == reports.size()) return 0;
+  return done == 0 ? 1 : 3;
+}
+
+/// --batch <dir|manifest>.  An entry that fails to load (unreadable file,
+/// malformed deck) does not abort the batch: it is reported as a failed
+/// job with kind invalid_config.
+int cmd_floorplan_batch(const Args& args, const SearchSetup& setup) {
+  const auto inputs = batch_inputs(args.get("batch", ""));
+  std::vector<core::JobSpec> jobs;
+  std::vector<std::size_t> pos;
+  std::vector<core::JobReport> reports(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    core::JobSpec spec = batch_job(
+        setup, i, std::filesystem::path(inputs[i]).stem().string());
+    try {
+      spec.netlist = load_circuit(inputs[i]);
+    } catch (const std::exception& e) {
+      core::JobReport& r = reports[i];
+      r.id = i;
+      r.name = spec.name;
+      r.optimizer = spec.config.optimizer;
+      r.search = spec.config.search;
+      r.seed = spec.seed;
+      r.status = core::JobStatus::kFailed;
+      r.error = {core::JobErrorKind::kInvalidConfig, e.what(), i, -1};
+      std::fprintf(stderr, "batch: skipping '%s': %s\n", inputs[i].c_str(),
+                   e.what());
+      continue;
+    }
+    pos.push_back(i);
+    jobs.push_back(std::move(spec));
+  }
+  return run_batch(args, setup, "batch", jobs, pos, std::move(reports));
 }
 
 /// --scenario-matrix FAMS:SIZES:NSEEDS[:key=val...] — the cross product of
@@ -751,83 +726,17 @@ int cmd_scenario_matrix(const Args& args, const SearchSetup& setup) {
           throw UsageError(e.what());
         }
         auto sc = ingest::make_scenario(spec);
-        core::JobSpec job;
-        job.name = spec.to_string();
+        core::JobSpec job = batch_job(setup, jobs.size(), spec.to_string());
         job.netlist = std::move(sc.netlist);
-        job.config = setup.cfg;
         job.config.scenario_constraints = std::move(sc.constraints);
-        if (!setup.cfg.search.checkpoint_path.empty()) {
-          job.config.search.checkpoint_path =
-              setup.cfg.search.checkpoint_path + ".job" +
-              std::to_string(jobs.size());
-        }
         jobs.push_back(std::move(job));
       }
     }
   }
-
-  std::printf("scenario matrix: %zu instances | optimizer %s | %d threads | "
-              "seed %llu\n",
-              jobs.size(), setup.baseline.c_str(), num::num_threads(),
-              static_cast<unsigned long long>(setup.seed));
-  std::vector<core::JobReport> reports(jobs.size());
-  num::parallel_for(
-      static_cast<std::int64_t>(jobs.size()), 1,
-      [&](std::int64_t b0, std::int64_t b1) {
-        for (std::int64_t b = b0; b < b1; ++b) {
-          const auto j = static_cast<std::size_t>(b);
-          reports[j] = core::JobService::run_job(
-              jobs[j], j, core::JobService::job_seed(setup.seed, j), nullptr,
-              nullptr);
-        }
-      });
-
-  std::printf("\n%-24s %-10s %12s %12s %11s %8s\n", "instance", "status",
-              "cost", "HPWL(um)", "constraints", "blocks");
-  std::size_t done = 0, satisfied = 0, constrained = 0;
-  for (const auto& r : reports) {
-    if (r.status != core::JobStatus::kDone) {
-      std::printf("%-24s %-10s %12s %12s %11s %8s  [%s] %s\n",
-                  r.name.c_str(), core::to_string(r.status), "-", "-", "-",
-                  "-", core::to_string(r.error.kind),
-                  r.error.message.c_str());
-      continue;
-    }
-    ++done;
-    const bool has_constraints = !r.result.instance.constraints.empty();
-    if (has_constraints) {
-      ++constrained;
-      if (r.result.eval.constraints_ok) ++satisfied;
-    }
-    // Constrained instances show the violated/total item breakdown, so a
-    // near-miss reads differently from an unconstrained run.
-    char cons[24];
-    if (!has_constraints) {
-      std::snprintf(cons, sizeof cons, "none");
-    } else if (r.result.eval.constraints_ok) {
-      std::snprintf(cons, sizeof cons, "ok");
-    } else {
-      std::snprintf(cons, sizeof cons, "%d/%d",
-                    r.result.eval.constraint_violations,
-                    r.result.eval.constraint_items);
-    }
-    std::printf("%-24s %-10s %12.4f %12.1f %11s %8zu\n", r.name.c_str(),
-                core::to_string(r.status),
-                metaheur::sp_cost(r.result.instance, r.result.rects),
-                r.result.eval.hpwl, cons, r.result.rects.size());
-  }
-  std::printf("\nmatrix: %zu/%zu done | constraints satisfied %zu/%zu\n",
-              done, reports.size(), satisfied, constrained);
-  if (args.has("report-json")) {
-    const std::string path = args.get("report-json", "matrix.json");
-    write_file(path, core::batch_report_json(
-                         reports, setup.seed,
-                         setup.cfg.search.budget.wall_clock_s,
-                         num::num_threads()));
-    std::printf("wrote %s\n", path.c_str());
-  }
-  if (done == reports.size()) return 0;
-  return done == 0 ? 1 : 3;
+  std::vector<std::size_t> pos(jobs.size());
+  std::iota(pos.begin(), pos.end(), std::size_t{0});
+  return run_batch(args, setup, "matrix", jobs, pos,
+                   std::vector<core::JobReport>(jobs.size()));
 }
 
 int cmd_floorplan(const Args& args) {
@@ -851,9 +760,7 @@ int cmd_floorplan(const Args& args) {
         "--report-json");
   }
   const SearchSetup setup = build_search(args);
-  if (batch) {
-    return cmd_floorplan_batch(args, setup.cfg, setup.baseline, setup.seed);
-  }
+  if (batch) return cmd_floorplan_batch(args, setup);
   if (matrix) return cmd_scenario_matrix(args, setup);
   if (scenario) {
     ingest::ScenarioSpec spec;
@@ -896,10 +803,8 @@ int cmd_ingest(const Args& args) {
 int cmd_train(const Args& args) {
   core::TrainOptions opt = core::TrainOptions::fast(
       static_cast<unsigned>(parse_u64_or_die(args, "seed", 1)));
-  opt.num_threads = static_cast<int>(parse_int_or_die(args, "threads", 0, 0));
   opt.hcl.circuits = {"ota_small", "bias_small", "ota1", "ota2", "bias1"};
-  opt.hcl.episodes_per_circuit =
-      static_cast<int>(parse_int_or_die(args, "episodes", 64, 1));
+  opt.hcl.episodes_per_circuit = parse_int_or_die(args, "episodes", 64, 1);
   opt.ppo.n_envs = 4;
   opt.ppo.n_steps = 32;
   opt.ppo.minibatch = 64;
@@ -928,7 +833,7 @@ int cmd_eval(const Args& args) {
   const std::string prefix = args.get("agent", "afp_agent");
   // Validate every numeric option before any heavy work or file I/O.
   const std::uint64_t seed = parse_u64_or_die(args, "seed", 1);
-  const int attempts = static_cast<int>(parse_int_or_die(args, "attempts", 8, 1));
+  const int attempts = parse_int_or_die(args, "attempts", 8, 1);
   std::mt19937_64 rng(seed);
   rgcn::RewardModel encoder(rng);
   rl::ActorCritic policy(rl::PolicyConfig::fast(), rng);
@@ -1029,8 +934,7 @@ int main(int argc, char** argv) {
   try {
     // Global knobs, honored by every command: pool size and kernel tier.
     if (args.has("threads")) {
-      num::set_num_threads(
-          static_cast<int>(parse_int_or_die(args, "threads", 0, 0)));
+      num::set_num_threads(parse_int_or_die(args, "threads", 0, 0));
     }
     if (args.has("tier")) {
       num::KernelTier tier;
