@@ -294,8 +294,12 @@ void BM_SaMultistart4(benchmark::State& state) {
   for (auto _ : state) {
     metaheur::SAParams p;
     p.iterations = 1000;
-    auto res = metaheur::run_sa_multi(inst, p, {/*restarts=*/4,
-                                                /*base_seed=*/2});
+    auto res = metaheur::run_multistart(
+        inst,
+        [&](int, std::mt19937_64& rng) {
+          return metaheur::run_sa(inst, p, rng);
+        },
+        {/*restarts=*/4, /*base_seed=*/2});
     benchmark::DoNotOptimize(res.eval.reward);
   }
 }

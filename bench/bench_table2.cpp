@@ -115,9 +115,12 @@ void run_table2() {
     metaheur::PTParams ptp;
     ptp.iterations = bench::scaled(20000) / ptp.replicas - 1;
     ptp.spacing_um = prep.instance.canvas_w / 32.0;
-    const auto pt = metaheur::run_pt_multi(prep.instance, ptp,
-                                           {/*restarts=*/4,
-                                            /*base_seed=*/42});
+    const auto pt = metaheur::run_multistart(
+        prep.instance,
+        [&](int, std::mt19937_64& r) {
+          return metaheur::run_pt(prep.instance, ptp, r);
+        },
+        {/*restarts=*/4, /*base_seed=*/42});
     const auto ptroute = route::global_route(prep.instance, pt.rects);
     const auto ptlayout = layoutgen::generate_layout(prep.instance, pt.rects,
                                                      ptroute);

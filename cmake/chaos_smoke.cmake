@@ -1,19 +1,20 @@
-# Chaos-soak smoke: afp_chaos --spawn starts afpd with aggressive
+# Chaos-soak smoke: afp_loadgen --spawn starts afpd with aggressive
 # resilience knobs (1 s idle reap, 2 s write deadline, 16-frame queue
-# bound, strike limit 8) and runs a seeded mix of misbehaving sessions —
-# malformed floods, raw junk, mid-frame stalls, half-open sockets, slow
-# readers, random disconnects — alongside well-behaved sessions.  The
-# harness itself asserts the good sessions' served bytes match an
-# in-process pipeline run, that no result frame was dropped, and that
-# SIGTERM drains cleanly; this driver additionally bitwise-diffs the
-# served reports against `afp_cli --report-json` (modulo the timings
-# line), then runs the SIGKILL + restart journal-replay leg.
+# bound, strike limit 8) and, with --chaos, runs a seeded mix of
+# misbehaving sessions — malformed floods, raw junk, mid-frame stalls,
+# half-open sockets, slow readers, random disconnects — alongside
+# well-behaved client sessions.  The driver itself asserts the clients'
+# served bytes match an in-process pipeline run, that no result frame was
+# dropped, and that SIGTERM drains cleanly; this script additionally
+# bitwise-diffs the served reports against `afp_cli --report-json` (modulo
+# the timings line), then runs the SIGKILL + restart journal-replay leg
+# (--kill-test).
 #
 # Invoked by CTest as:
-#   cmake -DAFP_CLI=<path> -DAFPD=<path> -DCHAOS=<path> -DWORK_DIR=<dir>
+#   cmake -DAFP_CLI=<path> -DAFPD=<path> -DLOADGEN=<path> -DWORK_DIR=<dir>
 #         -P chaos_smoke.cmake
-if(NOT AFP_CLI OR NOT AFPD OR NOT CHAOS OR NOT WORK_DIR)
-  message(FATAL_ERROR "usage: cmake -DAFP_CLI=... -DAFPD=... -DCHAOS=... "
+if(NOT AFP_CLI OR NOT AFPD OR NOT LOADGEN OR NOT WORK_DIR)
+  message(FATAL_ERROR "usage: cmake -DAFP_CLI=... -DAFPD=... -DLOADGEN=... "
                       "-DWORK_DIR=... -P chaos_smoke.cmake")
 endif()
 file(REMOVE_RECURSE ${WORK_DIR})
@@ -38,14 +39,14 @@ endforeach()
 # The chaos soak: >=1 stalled reader, >=1 half-open socket, >=1 malformed
 # flood ride in the 6-actor rotation.
 execute_process(
-  COMMAND ${CHAOS} --spawn ${AFPD} --socket ${WORK_DIR}/afpd.sock
-          --seed 1 --good 3 --chaos 6 --iters ${iters}
+  COMMAND ${LOADGEN} --spawn ${AFPD} --socket ${WORK_DIR}/afpd.sock
+          --clients 3 --seeds 7,8 --chaos 6 --iters ${iters}
           --write-reports ${WORK_DIR}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "afp_chaos failed (${rc}):\n${out}\n${err}")
+  message(FATAL_ERROR "afp_loadgen --chaos failed (${rc}):\n${out}\n${err}")
 endif()
 message(STATUS "${out}")
 
@@ -69,12 +70,12 @@ message(STATUS "served reports bitwise-match afp_cli under chaos")
 # Crash-recovery leg: SIGKILL mid-job, restart on the same journal, every
 # orphaned job surfaced as a structured internal error.
 execute_process(
-  COMMAND ${CHAOS} --spawn ${AFPD} --socket ${WORK_DIR}/afpd_kill.sock
+  COMMAND ${LOADGEN} --spawn ${AFPD} --socket ${WORK_DIR}/afpd_kill.sock
           --kill-test
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "afp_chaos --kill-test failed (${rc}):\n${out}\n${err}")
+  message(FATAL_ERROR "afp_loadgen --kill-test failed (${rc}):\n${out}\n${err}")
 endif()
 message(STATUS "${out}")

@@ -1,9 +1,9 @@
 # End-to-end daemon smoke: afp_loadgen --spawn starts afpd on a unix
 # socket, drives it with 4 concurrent client sessions x 3 seeds (checking
-# cross-client byte-parity internally), SIGTERMs it and requires a clean
-# drain (exit 0).  The canonical served report for every seed is then
-# bitwise-compared against `afp_cli floorplan ... --report-json` for the
-# same circuit/config/seed — the only member allowed to differ is the
+# every served report against an in-process reference run), SIGTERMs it
+# and requires a clean drain (exit 0).  The served report for every seed
+# is then bitwise-compared against `afp_cli floorplan ... --report-json`
+# for the same circuit/config/seed — the only member allowed to differ is the
 # "timings" line, the report's one documented non-deterministic field.
 #
 # Invoked by CTest as:

@@ -44,3 +44,18 @@ if(NOT report MATCHES "\"schema_version\"")
   message(FATAL_ERROR "report.json written but truncated: ${report}")
 endif()
 message(STATUS "broken stdout pipe: clean exit 1, report.json intact")
+
+# A file the CLI cannot write is an error too: `graph --dot` into a missing
+# directory once printed "wrote ..." and exited 0 with nothing on disk.
+execute_process(
+  COMMAND ${AFP_CLI} graph ota1 --dot ${WORK_DIR}/no_such_dir/g.dot
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "unwritable --dot path exited '${rc}' (wanted 1): ${err}")
+endif()
+if(NOT err MATCHES "no_such_dir/g.dot")
+  message(FATAL_ERROR "the --dot write error does not name the path: ${err}")
+endif()
+message(STATUS "unwritable --dot path: exit 1 naming the path")

@@ -64,31 +64,4 @@ BaselineResult run_multistart(
   return r;
 }
 
-BaselineResult run_sa_multi(const floorplan::Instance& inst, const SAParams& p,
-                            const MultiStartOptions& opt) {
-  return run_multistart(
-      inst,
-      [&inst, &p](int, std::mt19937_64& rng) { return run_sa(inst, p, rng); },
-      opt);
-}
-
-BaselineResult run_ga_multi(const floorplan::Instance& inst, const GAParams& p,
-                            const MultiStartOptions& opt) {
-  return run_multistart(
-      inst,
-      [&inst, &p](int, std::mt19937_64& rng) { return run_ga(inst, p, rng); },
-      opt);
-}
-
-BaselineResult run_sa_bstar_multi(const floorplan::Instance& inst,
-                                  const BStarSAParams& p,
-                                  const MultiStartOptions& opt) {
-  return run_multistart(
-      inst,
-      [&inst, &p](int, std::mt19937_64& rng) {
-        return run_sa_bstar(inst, p, rng);
-      },
-      opt);
-}
-
 }  // namespace afp::metaheur

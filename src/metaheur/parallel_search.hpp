@@ -45,13 +45,4 @@ BaselineResult run_multistart(
         search,
     const MultiStartOptions& opt);
 
-// Convenience wrappers over the serial baselines.
-BaselineResult run_sa_multi(const floorplan::Instance& inst, const SAParams& p,
-                            const MultiStartOptions& opt);
-BaselineResult run_ga_multi(const floorplan::Instance& inst, const GAParams& p,
-                            const MultiStartOptions& opt);
-BaselineResult run_sa_bstar_multi(const floorplan::Instance& inst,
-                                  const BStarSAParams& p,
-                                  const MultiStartOptions& opt);
-
 }  // namespace afp::metaheur

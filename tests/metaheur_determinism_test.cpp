@@ -19,6 +19,19 @@ floorplan::Instance instance_of(const netlist::Netlist& nl) {
   return floorplan::make_instance(g);
 }
 
+/// Best of `opt.restarts` runs of the serial search `run` (run_sa, run_ga,
+/// run_sa_bstar, run_pt) through run_multistart.
+template <class Params>
+BaselineResult multistart(
+    BaselineResult (*run)(const floorplan::Instance&, const Params&,
+                          std::mt19937_64&),
+    const floorplan::Instance& inst, const Params& p,
+    const MultiStartOptions& opt) {
+  return run_multistart(
+      inst, [&](int, std::mt19937_64& rng) { return run(inst, p, rng); },
+      opt);
+}
+
 void expect_identical(const BaselineResult& a, const BaselineResult& b,
                       const char* what) {
   EXPECT_EQ(a.method, b.method) << what;
@@ -60,7 +73,8 @@ TEST(RestartRng, StreamsAreStableAndDistinct) {
 
 TEST(MultiStart, RejectsZeroRestarts) {
   const auto inst = instance_of(netlist::make_ota_small());
-  EXPECT_THROW(run_sa_multi(inst, SAParams{}, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(multistart(run_sa, inst, SAParams{}, {0, 1}),
+               std::invalid_argument);
 }
 
 TEST(MultiStart, SaIsThreadCountInvariant) {
@@ -68,7 +82,7 @@ TEST(MultiStart, SaIsThreadCountInvariant) {
   SAParams p;
   p.iterations = 600;
   check_thread_invariance(
-      [&] { return run_sa_multi(inst, p, {4, 11}); }, "SA x4");
+      [&] { return multistart(run_sa, inst, p, {4, 11}); }, "SA x4");
 }
 
 TEST(MultiStart, BStarSaIsThreadCountInvariant) {
@@ -76,7 +90,8 @@ TEST(MultiStart, BStarSaIsThreadCountInvariant) {
   BStarSAParams p;
   p.iterations = 600;
   check_thread_invariance(
-      [&] { return run_sa_bstar_multi(inst, p, {4, 5}); }, "SA-B* x4");
+      [&] { return multistart(run_sa_bstar, inst, p, {4, 5}); },
+      "SA-B* x4");
 }
 
 TEST(ParallelPopulations, GaIsThreadCountInvariant) {
@@ -111,7 +126,7 @@ TEST(MultiStart, GaWrapperIsThreadCountInvariant) {
   p.population = 8;
   p.generations = 5;
   check_thread_invariance(
-      [&] { return run_ga_multi(inst, p, {3, 9}); }, "GA x3");
+      [&] { return multistart(run_ga, inst, p, {3, 9}); }, "GA x3");
 }
 
 // ------------------------------------------------ parallel tempering ---
@@ -234,7 +249,7 @@ TEST(Tempering, MultiStartPtIsThreadCountInvariant) {
   p.replicas = 4;
   p.iterations = 80;
   check_thread_invariance(
-      [&] { return run_pt_multi(inst, p, {3, 13}); }, "PT x3");
+      [&] { return multistart(run_pt, inst, p, {3, 13}); }, "PT x3");
 }
 
 TEST(Tempering, BestIsNoWorseThanEveryReplicaStart) {
@@ -266,7 +281,7 @@ TEST(MultiStart, BestOfRestartsIsNoWorseThanAnySingleRestart) {
   SAParams p;
   p.iterations = 500;
   const MultiStartOptions opt{4, 21};
-  const auto multi = run_sa_multi(inst, p, opt);
+  const auto multi = multistart(run_sa, inst, p, opt);
   const double multi_cost = sp_cost(inst, multi.rects);
   long total_evals = 0;
   for (int k = 0; k < opt.restarts; ++k) {

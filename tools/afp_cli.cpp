@@ -26,24 +26,21 @@
 // Global options: --threads N (numeric thread-pool size), --tier
 // naive|scalar|avx2|auto (kernel tier), --help.  See kUsage below.
 //
-// Every numeric option is validated; a malformed value (like an unknown
-// flag) exits with code 2 and the usage text on stderr.  A <circuit> that
-// is not in the registry is read as a SPICE deck by ingest::parse_file.
+// Each command's flags are one table (kCommands) read by the shared parser
+// in flags.hpp: an unknown flag, a missing value, an extra positional or a
+// malformed number exits with code 2 and the usage text on stderr.  A
+// <circuit> that is not in the registry is read as a SPICE deck by
+// ingest::parse_file.
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <limits>
-#include <map>
 #include <mutex>
 #include <numeric>
-#include <set>
 #include <sstream>
 
 #include "core/job_service.hpp"
@@ -56,6 +53,8 @@
 #include "nn/checkpoint.hpp"
 #include "numeric/parallel.hpp"
 #include "numeric/simd.hpp"
+
+#include "flags.hpp"
 
 namespace {
 
@@ -159,133 +158,58 @@ global options:
 
 A <circuit> argument is first looked up in the registry (see `afp list`);
 otherwise it is read as a SPICE deck (the first line is its title).
-Unknown options and malformed numeric values are rejected with exit code 2;
-so is a malformed deck, with a file:line diagnostic.
+
+Flags may come before or after the positional argument.  A flag that takes
+a value needs one: the next token, which must not start with `--`.  The
+boolean flags (--constrained, --resume, --parse-only, --help) never take
+one.  Unknown options, a missing value, an extra positional argument and
+a malformed or out-of-range number are rejected with exit code 2; so is a
+malformed deck, with a file:line diagnostic.
 )";
 
-/// Usage-level error: message + usage text on stderr, exit code 2.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
+using flags::Args;
+using flags::UsageError;
+
+const std::vector<flags::Flag> kGlobalFlags = {
+    {"threads", true}, {"tier", true}, {"help", false}, {"h", false}};
+
+/// The search flags floorplan and ingest share (see build_search).
+const std::vector<flags::Flag> kSearchFlags = {
+    {"baseline", true},    {"constrained", false}, {"seed", true},
+    {"svg", true},         {"report", true},       {"report-json", true},
+    {"restarts", true},    {"iters", true},        {"opt", true},
+    {"time-budget", true}, {"quanta", true},       {"job-timeout", true},
+    {"max-retries", true}, {"checkpoint", true},   {"resume", false}};
+
+std::vector<flags::Flag> with(std::vector<flags::Flag> a,
+                              const std::vector<flags::Flag>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// Every command's flags (plus the globals) and positional count; anything
+/// else is a usage error (exit code 2) instead of being silently ignored —
+/// this also catches flags that only exist on a *different* command.
+const std::vector<flags::Command> kCommands = {
+    {"list", kGlobalFlags, 0},
+    {"list-baselines", kGlobalFlags, 0},
+    {"floorplan",
+     with(with(kGlobalFlags, kSearchFlags),
+          {{"batch", true}, {"scenario", true}, {"scenario-matrix", true}}),
+     1},
+    {"ingest",
+     with(with(kGlobalFlags, kSearchFlags),
+          {{"top", true}, {"parse-only", false}}),
+     1},
+    {"train", with(kGlobalFlags, {{"episodes", true}, {"seed", true},
+                                  {"out", true}}),
+     0},
+    {"eval", with(kGlobalFlags, {{"agent", true}, {"attempts", true},
+                                 {"seed", true}, {"constrained", false},
+                                 {"svg", true}}),
+     1},
+    {"graph", with(kGlobalFlags, {{"dot", true}}), 1},
 };
-
-/// Options every command accepts.
-const std::set<std::string> kGlobalOptions = {"threads", "tier", "help", "h"};
-
-/// The search options floorplan and ingest share (see build_search).
-std::set<std::string> search_options_plus(std::set<std::string> extra) {
-  extra.insert({"baseline", "constrained", "seed", "svg", "report",
-                "report-json", "restarts", "iters", "opt", "time-budget",
-                "quanta", "job-timeout", "max-retries", "checkpoint",
-                "resume"});
-  return extra;
-}
-
-/// Per-command options; anything outside the command's set plus the globals
-/// is a usage error (exit code 2) instead of being silently ignored — this
-/// also catches options that only exist on a *different* command.
-const std::map<std::string, std::set<std::string>> kCommandOptions = {
-    {"list", {}},
-    {"list-baselines", {}},
-    {"floorplan", search_options_plus({"batch", "scenario", "scenario-matrix"})},
-    {"ingest", search_options_plus({"top", "parse-only"})},
-    {"train", {"episodes", "seed", "out"}},
-    {"eval", {"agent", "attempts", "seed", "constrained", "svg"}},
-    {"graph", {"dot"}},
-};
-
-/// Minimal flag parser: positional args plus --key [value] options.
-/// Repeated options accumulate (used by --opt).
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::vector<std::string>> options;
-
-  static Args parse(int argc, char** argv, int from) {
-    Args a;
-    for (int i = from; i < argc; ++i) {
-      const std::string tok = argv[i];
-      if (tok.rfind("--", 0) == 0) {
-        const std::string key = tok.substr(2);
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          a.options[key].push_back(argv[++i]);
-        } else {
-          a.options[key].push_back("1");
-        }
-      } else {
-        a.positional.push_back(tok);
-      }
-    }
-    return a;
-  }
-
-  /// First option key `cmd` does not understand, or empty when all are
-  /// known (globals are accepted everywhere).
-  std::string first_unknown(const std::string& cmd) const {
-    const auto it = kCommandOptions.find(cmd);
-    for (const auto& [key, values] : options) {
-      if (kGlobalOptions.count(key)) continue;
-      if (it != kCommandOptions.end() && it->second.count(key)) continue;
-      return key;
-    }
-    return {};
-  }
-
-  std::string get(const std::string& key, const std::string& dflt) const {
-    const auto it = options.find(key);
-    return it == options.end() ? dflt : it->second.back();
-  }
-  std::vector<std::string> get_all(const std::string& key) const {
-    const auto it = options.find(key);
-    return it == options.end() ? std::vector<std::string>{} : it->second;
-  }
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-};
-
-// ----------------------------------------------- validated numeric parsing
-//
-// std::stoul/stoi would throw std::invalid_argument on junk like
-// `--seed abc` and surface as a generic exit-1 error; numeric options are a
-// usage problem and must exit 2 with the usage text, like unknown flags.
-
-int parse_int_or_die(const Args& args, const std::string& key, int dflt,
-                     int min_value = std::numeric_limits<int>::min()) {
-  const std::string s = args.get(key, std::to_string(dflt));
-  long long v = 0;
-  if (!metaheur::parse_strict_int(s, &v)) {
-    throw UsageError("option '--" + key + "' expects an integer, got '" + s +
-                     "'");
-  }
-  if (v < min_value || v > std::numeric_limits<int>::max()) {
-    throw UsageError("option '--" + key + "' must be in [" +
-                     std::to_string(min_value) + ", " +
-                     std::to_string(std::numeric_limits<int>::max()) +
-                     "], got '" + s + "'");
-  }
-  return static_cast<int>(v);
-}
-
-std::uint64_t parse_u64_or_die(const Args& args, const std::string& key,
-                               std::uint64_t dflt) {
-  const std::string s = args.get(key, std::to_string(dflt));
-  std::uint64_t v = 0;
-  if (!metaheur::parse_strict_uint(s, &v)) {
-    throw UsageError("option '--" + key +
-                     "' expects an unsigned integer, got '" + s + "'");
-  }
-  return v;
-}
-
-double parse_double_or_die(const Args& args, const std::string& key,
-                           double dflt) {
-  std::ostringstream d;
-  d << dflt;
-  const std::string s = args.get(key, d.str());
-  double v = 0.0;
-  if (!metaheur::parse_strict_double(s, &v)) {
-    throw UsageError("option '--" + key + "' expects a finite number, got '" +
-                     s + "'");
-  }
-  return v;
-}
 
 /// A registry circuit by name, else a SPICE deck file (ingest::ParseError
 /// with file:line when malformed).
@@ -405,9 +329,7 @@ std::string baseline_name(const Args& args) {
 metaheur::Options gather_options(const Args& args) {
   metaheur::Options opts;
   for (const auto& arg : args.get_all("opt")) {
-    std::stringstream ss(arg);
-    std::string pair;
-    while (std::getline(ss, pair, ',')) {
+    for (const auto& pair : flags::split(arg, ',')) {
       const auto eq = pair.find('=');
       if (eq == std::string::npos || eq == 0) {
         throw UsageError("option '--opt' expects k=v, got '" + pair + "'");
@@ -467,33 +389,33 @@ struct SearchSetup {
 SearchSetup build_search(const Args& args) {
   SearchSetup setup;
   setup.baseline = baseline_name(args);
-  setup.seed = parse_u64_or_die(args, "seed", 1);
+  setup.seed = args.get_u64("seed", 1);
   core::PipelineConfig& cfg = setup.cfg;
   cfg.constrained = args.has("constrained");
   cfg.optimizer = setup.baseline;
   cfg.options = gather_options(args);
-  cfg.search.restarts = parse_int_or_die(args, "restarts", 1);
+  cfg.search.restarts = args.get_int("restarts", 1);
   if (args.has("iters")) {
-    cfg.search.budget.iterations = parse_int_or_die(args, "iters", 0, 1);
+    cfg.search.budget.iterations = args.get_int("iters", 0, 1);
   }
   if (args.has("time-budget")) {
-    const double budget = parse_double_or_die(args, "time-budget", 0.0);
+    const double budget = args.get_double("time-budget", 0.0);
     if (budget <= 0.0) {
       throw UsageError("option '--time-budget' must be > 0 seconds");
     }
     cfg.search.budget.wall_clock_s = budget;
   }
   if (args.has("quanta")) {
-    cfg.search.budget.quanta = parse_int_or_die(args, "quanta", 0, 1);
+    cfg.search.budget.quanta = args.get_int("quanta", 0, 1);
   }
   if (args.has("job-timeout")) {
-    const double deadline = parse_double_or_die(args, "job-timeout", 0.0);
+    const double deadline = args.get_double("job-timeout", 0.0);
     if (deadline <= 0.0) {
       throw UsageError("option '--job-timeout' must be > 0 seconds");
     }
     cfg.search.budget.deadline_s = deadline;
   }
-  cfg.search.retry.max_retries = parse_int_or_die(args, "max-retries", 0);
+  cfg.search.retry.max_retries = args.get_int("max-retries", 0);
   if (args.has("checkpoint")) {
     cfg.search.checkpoint_path = args.get("checkpoint", "");
     if (cfg.search.checkpoint_path.empty()) {
@@ -697,13 +619,6 @@ int cmd_scenario_matrix(const Args& args, const SearchSetup& setup) {
         "option '--scenario-matrix' expects FAMS:SIZES:NSEEDS[:key=val...], "
         "got '" + text + "'");
   }
-  auto split_commas = [](const std::string& s) {
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string tok;
-    while (std::getline(ss, tok, ',')) out.push_back(tok);
-    return out;
-  };
   std::string suffix;
   for (std::size_t i = 3; i < parts.size(); ++i) suffix += ":" + parts[i];
   long long nseeds = 0;
@@ -715,8 +630,8 @@ int cmd_scenario_matrix(const Args& args, const SearchSetup& setup) {
   // Family-major, then size, then seed: the instance list (and with it the
   // per-job search seeds) is a pure function of the matrix spec.
   std::vector<core::JobSpec> jobs;
-  for (const auto& fam : split_commas(parts[0])) {
-    for (const auto& size : split_commas(parts[1])) {
+  for (const auto& fam : flags::split(parts[0], ',')) {
+    for (const auto& size : flags::split(parts[1], ',')) {
       for (long long s = 1; s <= nseeds; ++s) {
         ingest::ScenarioSpec spec;
         try {
@@ -802,9 +717,9 @@ int cmd_ingest(const Args& args) {
 
 int cmd_train(const Args& args) {
   core::TrainOptions opt = core::TrainOptions::fast(
-      static_cast<unsigned>(parse_u64_or_die(args, "seed", 1)));
+      static_cast<unsigned>(args.get_u64("seed", 1)));
   opt.hcl.circuits = {"ota_small", "bias_small", "ota1", "ota2", "bias1"};
-  opt.hcl.episodes_per_circuit = parse_int_or_die(args, "episodes", 64, 1);
+  opt.hcl.episodes_per_circuit = args.get_int("episodes", 64, 1);
   opt.ppo.n_envs = 4;
   opt.ppo.n_steps = 32;
   opt.ppo.minibatch = 64;
@@ -832,8 +747,8 @@ int cmd_eval(const Args& args) {
   }
   const std::string prefix = args.get("agent", "afp_agent");
   // Validate every numeric option before any heavy work or file I/O.
-  const std::uint64_t seed = parse_u64_or_die(args, "seed", 1);
-  const int attempts = parse_int_or_die(args, "attempts", 8, 1);
+  const std::uint64_t seed = args.get_u64("seed", 1);
+  const int attempts = args.get_int("attempts", 8, 1);
   std::mt19937_64 rng(seed);
   rgcn::RewardModel encoder(rng);
   rl::ActorCritic policy(rl::PolicyConfig::fast(), rng);
@@ -870,7 +785,8 @@ int cmd_graph(const Args& args) {
                 g.edges[static_cast<std::size_t>(r)].size());
   }
   if (args.has("dot")) {
-    std::ofstream os(args.get("dot", "graph.dot"));
+    const std::string path = args.get("dot", "");
+    std::ostringstream os;
     os << "graph g {\n";
     for (int i = 0; i < g.num_nodes(); ++i) {
       os << "  n" << i << " [label=\""
@@ -881,8 +797,9 @@ int cmd_graph(const Args& args) {
         os << "  n" << u << " -- n" << v << ";\n";
       }
     }
-    os << "}\n";
-    std::printf("wrote %s\n", args.get("dot", "graph.dot").c_str());
+    os << "}";  // write_file appends the final newline
+    write_file(path, os.str());
+    std::printf("wrote %s\n", path.c_str());
   }
   return 0;
 }
@@ -915,33 +832,29 @@ int main(int argc, char** argv) {
     std::fputs(kUsage, stdout);
     return 0;
   }
-  const Args args = Args::parse(argc, argv, 2);
-  if (args.has("help") || args.has("h")) {
-    std::fputs(kUsage, stdout);
-    return 0;
-  }
-  if (!kCommandOptions.count(cmd)) {
+  const auto it =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [&](const flags::Command& c) { return c.name == cmd; });
+  if (it == kCommands.end()) {
     std::fprintf(stderr, "error: unknown command '%s'\n\n", cmd.c_str());
     std::fputs(kUsage, stderr);
     return 2;
   }
-  if (const std::string unknown = args.first_unknown(cmd); !unknown.empty()) {
-    std::fprintf(stderr, "error: unknown option '--%s' for '%s'\n\n",
-                 unknown.c_str(), cmd.c_str());
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
   try {
+    const Args args = Args::parse(argc, argv, 2, *it);
+    if (args.has("help") || args.has("h")) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
     // Global knobs, honored by every command: pool size and kernel tier.
     if (args.has("threads")) {
-      num::set_num_threads(parse_int_or_die(args, "threads", 0, 0));
+      num::set_num_threads(args.get_int("threads", 0, 0));
     }
     if (args.has("tier")) {
       num::KernelTier tier;
-      if (!num::parse_kernel_tier(args.get("tier", "auto").c_str(), &tier)) {
-        std::fprintf(stderr, "unknown kernel tier '%s'\n",
-                     args.get("tier", "").c_str());
-        return 2;
+      if (!num::parse_kernel_tier(args.get("tier", "").c_str(), &tier)) {
+        throw UsageError("unknown kernel tier '" + args.get("tier", "") +
+                         "'");
       }
       num::set_kernel_tier(tier);
     }
@@ -966,7 +879,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  // Unreachable: cmd was validated against kCommandOptions above and every
-  // listed command is dispatched in the try block.
+  // Unreachable: cmd was found in kCommands above and every listed command
+  // is dispatched in the try block.
   return 2;
 }

@@ -24,10 +24,15 @@
 //   --threads N        numeric thread-pool size
 //   --quiet            suppress per-event stderr lines
 //
-// A malformed AFPD_* value (non-numeric, out of range) is a configuration
-// error: afpd exits 2 with a usage message naming the variable — silently
-// running with a default the operator did not ask for hides typos until
-// the daemon misbehaves under load.
+// Flags go through the shared parser (flags.hpp).  Ranges: --port [0,
+// 65535]; the admission limits and --queue-frames [1, 2^20];
+// --strike-limit [0, 2^20]; every S in seconds [0, 1e9]; --base-seed any
+// u64; --threads >= 0 (0 = default).  An AFPD_* variable is the default
+// of its flag and passes the same check; the flag wins.  A malformed or
+// out-of-range value, from a flag or a variable, is a configuration error:
+// afpd exits 2 with the usage text and names the flag or variable —
+// silently running with a value the operator did not ask for hides typos
+// until the daemon misbehaves under load.
 //
 // SIGTERM/SIGINT trigger a graceful drain: new sessions and submits are
 // rejected, in-flight and queued jobs finish (or are cancelled after the
@@ -35,12 +40,12 @@
 // then the process exits 0.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "numeric/parallel.hpp"
 #include "service/server.hpp"
+
+#include "flags.hpp"
 
 namespace {
 
@@ -60,39 +65,38 @@ int usage(int rc) {
                "[--queue-frames N]\n"
                "            [--journal PATH] [--base-seed N] "
                "[--drain-grace S] [--threads N]\n"
-               "            [--quiet]\n");
+               "            [--quiet]\n"
+               "ranges: --port [0, 65535]; the admission limits and "
+               "--queue-frames [1, 1048576];\n"
+               "        --strike-limit [0, 1048576]; seconds [0, 1e9]; "
+               "--base-seed any u64;\n"
+               "        --threads >= 0 (0 = default)\n");
   return rc;
 }
 
-/// Strict env integer in [lo, hi]: a malformed or out-of-range value exits
-/// 2 with a usage line naming the variable (never a silent default).
-int env_int(const char* name, int dflt, long lo, long hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  char* end = nullptr;
-  const long x = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || x < lo || x > hi) {
-    std::fprintf(stderr,
-                 "afpd: %s='%s' is not an integer in [%ld, %ld]\n", name, v,
-                 lo, hi);
-    std::exit(usage(2));
-  }
-  return static_cast<int>(x);
-}
+constexpr int kMax = 1 << 20;  ///< upper bound of the counted limits
 
-/// Strict env seconds in [0, 1e9]; same exit-2 contract as env_int.
-double env_seconds(const char* name, double dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !(x >= 0.0) || x > 1e9) {
-    std::fprintf(stderr, "afpd: %s='%s' is not a number in [0, 1e9]\n", name,
-                 v);
-    std::exit(usage(2));
-  }
-  return x;
-}
+/// afpd's flags; the AFPD_* variables are defaults for the flags that name
+/// one, checked by the same range rule (the flag wins).
+const afp::flags::Command kFlags = {
+    "",
+    {{"socket", true},
+     {"port", true},
+     {"max-sessions", true, "AFPD_MAX_SESSIONS"},
+     {"max-inflight", true, "AFPD_MAX_INFLIGHT"},
+     {"session-quota", true, "AFPD_SESSION_QUOTA"},
+     {"max-parked", true, "AFPD_MAX_PARKED"},
+     {"strike-limit", true, "AFPD_STRIKE_LIMIT"},
+     {"write-deadline", true, "AFPD_WRITE_DEADLINE"},
+     {"idle-timeout", true, "AFPD_IDLE_TIMEOUT"},
+     {"queue-frames", true, "AFPD_QUEUE_FRAMES"},
+     {"journal", true, "AFPD_JOURNAL"},
+     {"base-seed", true},
+     {"drain-grace", true},
+     {"threads", true},
+     {"quiet", false},
+     {"help", false}},
+    0};
 
 }  // namespace
 
@@ -102,104 +106,36 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   afp::service::ServerConfig cfg;
-  cfg.log = true;
-  cfg.admission.max_sessions = env_int("AFPD_MAX_SESSIONS", 16, 1, 1 << 20);
-  cfg.admission.max_inflight = env_int("AFPD_MAX_INFLIGHT", 2, 1, 1 << 20);
-  cfg.admission.per_session = env_int("AFPD_SESSION_QUOTA", 8, 1, 1 << 20);
-  cfg.admission.max_parked = env_int("AFPD_MAX_PARKED", 256, 1, 1 << 20);
-  cfg.admission.strike_limit = env_int("AFPD_STRIKE_LIMIT", 16, 0, 1 << 20);
-  cfg.write_deadline_s = env_seconds("AFPD_WRITE_DEADLINE", 10.0);
-  cfg.idle_timeout_s = env_seconds("AFPD_IDLE_TIMEOUT", 300.0);
-  cfg.queue_frames = static_cast<std::size_t>(
-      env_int("AFPD_QUEUE_FRAMES", 256, 1, 1 << 20));
-  if (const char* j = std::getenv("AFPD_JOURNAL")) cfg.journal_path = j;
   int threads = 0;
-
-  auto int_arg = [&](int& i, const char* what) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "afpd: %s expects a value\n", what);
-      std::exit(usage(2));
-    }
-    char* end = nullptr;
-    const long x = std::strtol(argv[++i], &end, 10);
-    if (end == argv[i] || *end != '\0') {
-      std::fprintf(stderr, "afpd: %s expects an integer, got '%s'\n", what,
-                   argv[i]);
-      std::exit(usage(2));
-    }
-    return x;
-  };
-  auto seconds_arg = [&](int& i, const char* what) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "afpd: %s expects a value\n", what);
-      std::exit(usage(2));
-    }
-    char* end = nullptr;
-    const double x = std::strtod(argv[++i], &end);
-    if (end == argv[i] || *end != '\0' || !(x >= 0.0) || x > 1e9) {
-      std::fprintf(stderr, "afpd: %s expects seconds in [0, 1e9], got '%s'\n",
-                   what, argv[i]);
-      std::exit(usage(2));
-    }
-    return x;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--socket") {
-      if (i + 1 >= argc) return usage(2);
-      cfg.unix_path = argv[++i];
-    } else if (arg == "--port") {
-      cfg.tcp_port = static_cast<int>(int_arg(i, "--port"));
-    } else if (arg == "--max-sessions") {
-      cfg.admission.max_sessions = static_cast<int>(int_arg(i, arg.c_str()));
-    } else if (arg == "--max-inflight") {
-      cfg.admission.max_inflight = static_cast<int>(int_arg(i, arg.c_str()));
-    } else if (arg == "--session-quota") {
-      cfg.admission.per_session = static_cast<int>(int_arg(i, arg.c_str()));
-    } else if (arg == "--max-parked") {
-      cfg.admission.max_parked = static_cast<int>(int_arg(i, arg.c_str()));
-    } else if (arg == "--strike-limit") {
-      cfg.admission.strike_limit = static_cast<int>(int_arg(i, arg.c_str()));
-    } else if (arg == "--write-deadline") {
-      cfg.write_deadline_s = seconds_arg(i, arg.c_str());
-    } else if (arg == "--idle-timeout") {
-      cfg.idle_timeout_s = seconds_arg(i, arg.c_str());
-    } else if (arg == "--queue-frames") {
-      const long q = int_arg(i, arg.c_str());
-      if (q < 1) {
-        std::fprintf(stderr, "afpd: --queue-frames must be >= 1\n");
-        return usage(2);
-      }
-      cfg.queue_frames = static_cast<std::size_t>(q);
-    } else if (arg == "--journal") {
-      if (i + 1 >= argc) return usage(2);
-      cfg.journal_path = argv[++i];
-    } else if (arg == "--base-seed") {
-      cfg.base_seed = static_cast<std::uint64_t>(int_arg(i, arg.c_str()));
-    } else if (arg == "--drain-grace") {
-      if (i + 1 >= argc) return usage(2);
-      cfg.drain_grace_s = std::atof(argv[++i]);
-    } else if (arg == "--threads") {
-      threads = static_cast<int>(int_arg(i, arg.c_str()));
-    } else if (arg == "--quiet") {
-      cfg.log = false;
-    } else {
-      std::fprintf(stderr, "afpd: unknown option '%s'\n", arg.c_str());
-      return usage(2);
-    }
+  try {
+    const auto args = afp::flags::Args::parse(argc, argv, 1, kFlags);
+    if (args.has("help")) return usage(0);
+    // Every default is ServerConfig's own.
+    auto& adm = cfg.admission;
+    cfg.unix_path = args.get("socket", "");
+    cfg.tcp_port = args.get_int("port", cfg.tcp_port, 0, 65535);
+    adm.max_sessions = args.get_int("max-sessions", adm.max_sessions, 1, kMax);
+    adm.max_inflight = args.get_int("max-inflight", adm.max_inflight, 1, kMax);
+    adm.per_session = args.get_int("session-quota", adm.per_session, 1, kMax);
+    adm.max_parked = args.get_int("max-parked", adm.max_parked, 1, kMax);
+    adm.strike_limit = args.get_int("strike-limit", adm.strike_limit, 0, kMax);
+    cfg.write_deadline_s =
+        args.get_double("write-deadline", cfg.write_deadline_s, 0.0, 1e9);
+    cfg.idle_timeout_s =
+        args.get_double("idle-timeout", cfg.idle_timeout_s, 0.0, 1e9);
+    cfg.queue_frames = static_cast<std::size_t>(args.get_int(
+        "queue-frames", static_cast<int>(cfg.queue_frames), 1, kMax));
+    cfg.journal_path = args.get("journal", "");
+    cfg.base_seed = args.get_u64("base-seed", cfg.base_seed);
+    cfg.drain_grace_s =
+        args.get_double("drain-grace", cfg.drain_grace_s, 0.0, 1e9);
+    threads = args.get_int("threads", 0, 0);
+    cfg.log = !args.has("quiet");
+  } catch (const afp::flags::UsageError& e) {
+    std::fprintf(stderr, "afpd: %s\n", e.what());
+    return usage(2);
   }
   if (cfg.unix_path.empty() && cfg.tcp_port < 0) return usage(2);
-  if (cfg.admission.max_sessions < 1 || cfg.admission.max_inflight < 1 ||
-      cfg.admission.per_session < 1 || cfg.admission.max_parked < 1) {
-    std::fprintf(stderr, "afpd: admission limits must be >= 1\n");
-    return usage(2);
-  }
-  if (cfg.admission.strike_limit < 0) {
-    std::fprintf(stderr, "afpd: --strike-limit must be >= 0\n");
-    return usage(2);
-  }
   if (threads > 0) afp::num::set_num_threads(threads);
 
   try {
