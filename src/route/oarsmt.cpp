@@ -1,13 +1,16 @@
 #include "route/oarsmt.hpp"
 
 #include <algorithm>
-#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <exception>
+#include <iterator>
 #include <limits>
-#include <queue>
 #include <set>
 #include <stdexcept>
+
+#include "numeric/parallel.hpp"
 
 namespace afp::route {
 
@@ -45,21 +48,114 @@ geom::Point block_pin_for_net(const geom::Rect& rect, int routing_direction,
 
 namespace {
 
+/// Binary min-heap of graph vertices keyed by (dist, vertex), with
+/// decrease-key through a per-vertex position index.  Each reached vertex
+/// sits in the heap at most once, with its current tentative distance, so
+/// the heap carries the frontier's distances and no V-sized distance array
+/// is needed.
+class VertexHeap {
+ public:
+  struct Entry {
+    double dist;
+    std::uint32_t v;
+  };
+
+  explicit VertexHeap(std::size_t nv = 0) : pos_(nv, kUnseen) {}
+
+  /// Forgets every vertex: all are unseen again.
+  void reset() {
+    heap_.clear();
+    std::fill(pos_.begin(), pos_.end(), kUnseen);
+  }
+
+  bool empty() const { return heap_.empty(); }
+  bool seen(std::size_t v) const { return pos_[v] != kUnseen; }
+  bool settled(std::size_t v) const { return pos_[v] == kSettled; }
+
+  /// Tentative distance of an unsettled vertex (+inf when unseen).
+  double dist(std::size_t v) const {
+    return pos_[v] == kUnseen ? std::numeric_limits<double>::infinity()
+                              : heap_[pos_[v]].dist;
+  }
+
+  /// Inserts `v` or lowers its key; requires d < dist(v).
+  void push_or_decrease(std::size_t v, double d) {
+    std::size_t k = pos_[v];
+    if (k == kUnseen) {
+      k = heap_.size();
+      heap_.push_back({});
+    }
+    sift_up(k, {d, static_cast<std::uint32_t>(v)});
+  }
+
+  /// Removes and returns the minimum entry, marking its vertex settled.
+  Entry pop() {
+    const Entry top = heap_.front();
+    pos_[top.v] = kSettled;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+    return top;
+  }
+
+ private:
+  static constexpr std::uint32_t kUnseen = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kSettled = 0xFFFFFFFEu;
+
+  static bool less(const Entry& a, const Entry& b) {
+    return a.dist < b.dist || (a.dist == b.dist && a.v < b.v);
+  }
+
+  void place(std::size_t k, const Entry& e) {
+    heap_[k] = e;
+    pos_[e.v] = static_cast<std::uint32_t>(k);
+  }
+
+  void sift_up(std::size_t k, const Entry& e) {
+    while (k > 0) {
+      const std::size_t parent = (k - 1) / 2;
+      if (!less(e, heap_[parent])) break;
+      place(k, heap_[parent]);
+      k = parent;
+    }
+    place(k, e);
+  }
+
+  void sift_down(std::size_t k, const Entry& e) {
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t c = 2 * k + 1;
+      if (c >= n) break;
+      if (c + 1 < n && less(heap_[c + 1], heap_[c])) ++c;
+      if (!less(heap_[c], e)) break;
+      place(k, heap_[c]);
+      k = c;
+    }
+    place(k, e);
+  }
+
+  std::vector<std::uint32_t> pos_;  ///< heap index, kUnseen or kSettled
+  std::vector<Entry> heap_;
+};
+
 /// Escape-graph router over the Hanan grid of terminals + obstacle edges.
+/// One graph serves one net, and owns that net's search scratch: about
+/// 5 bytes per vertex (a heap position and a predecessor direction).
 class EscapeGraph {
  public:
   EscapeGraph(std::span<const geom::Point> terminals,
               std::span<const geom::Rect> obstacles, double clearance) {
+    std::vector<geom::Rect> shrunk;
     for (const auto& o : obstacles) {
       const geom::Rect s = o.inflated(-clearance);
-      if (!s.empty()) obstacles_.push_back(s);
+      if (!s.empty()) shrunk.push_back(s);
     }
     std::set<double> xset, yset;
     for (const auto& t : terminals) {
       xset.insert(t.x);
       yset.insert(t.y);
     }
-    for (const auto& o : obstacles_) {
+    for (const auto& o : shrunk) {
       xset.insert(o.x - clearance);
       xset.insert(o.right() + clearance);
       yset.insert(o.y - clearance);
@@ -69,35 +165,37 @@ class EscapeGraph {
     ys_.assign(yset.begin(), yset.end());
     nx_ = static_cast<int>(xs_.size());
     ny_ = static_cast<int>(ys_.size());
+    const std::size_t nv = static_cast<std::size_t>(nx_) * ny_;
+    if (nv >= kMaxVertices) {
+      throw std::length_error("route_net: escape graph too large");
+    }
     // Occlusion bitmaps are range-marked per obstacle instead of testing
     // every grid point against every obstacle: a vertex (edge midpoint) is
     // covered exactly when its coordinate falls in the obstacle's half-open
     // span, so binary-searching the span's index range marks the same
-    // vertices the old O(grid x obstacles) scan did.
-    xmid_.resize(nx_ > 0 ? static_cast<std::size_t>(nx_ - 1) : 0);
+    // vertices the old O(grid x obstacles) scan did.  `dx_`/`dy_` hold the
+    // grid steps, i.e. the edge lengths.
+    std::vector<double> xmid, ymid;  // midpoints of adjacent grid lines
     for (std::size_t i = 0; i + 1 < xs_.size(); ++i) {
-      xmid_[i] = (xs_[i] + xs_[i + 1]) / 2.0;
+      xmid.push_back((xs_[i] + xs_[i + 1]) / 2.0);
+      dx_.push_back(xs_[i + 1] - xs_[i]);
     }
-    ymid_.resize(ny_ > 0 ? static_cast<std::size_t>(ny_ - 1) : 0);
     for (std::size_t j = 0; j + 1 < ys_.size(); ++j) {
-      ymid_[j] = (ys_[j] + ys_[j + 1]) / 2.0;
+      ymid.push_back((ys_[j] + ys_[j + 1]) / 2.0);
+      dy_.push_back(ys_[j + 1] - ys_[j]);
     }
-    blocked_.assign(static_cast<std::size_t>(nx_) * ny_, false);
-    hblocked_.assign(xmid_.size() * static_cast<std::size_t>(ny_), false);
-    vblocked_.assign(static_cast<std::size_t>(nx_) * ymid_.size(), false);
-    for (const auto& o : obstacles_) {
+    blocked_.assign(nv, false);
+    hblocked_.assign(xmid.size() * static_cast<std::size_t>(ny_), false);
+    vblocked_.assign(static_cast<std::size_t>(nx_) * ymid.size(), false);
+    for (const auto& o : shrunk) {
       mark_covered(xs_, ys_, o, nx_, blocked_);
-      mark_covered(xmid_, ys_, o, nx_ - 1, hblocked_);
-      mark_covered(xs_, ymid_, o, nx_, vblocked_);
+      mark_covered(xmid, ys_, o, nx_ - 1, hblocked_);
+      mark_covered(xs_, ymid, o, nx_, vblocked_);
     }
-    const std::size_t nv = blocked_.size();
-    dist_.assign(nv, std::numeric_limits<double>::infinity());
-    prev_.assign(nv, nv);
-    stamp_.assign(nv, 0);
+    heap_ = VertexHeap(nv);
+    from_.assign(nv, kSource);
   }
 
-  int nx() const { return nx_; }
-  int ny() const { return ny_; }
   std::size_t id(int i, int j) const {
     return static_cast<std::size_t>(j) * nx_ + i;
   }
@@ -117,64 +215,82 @@ class EscapeGraph {
     return id(i, j);
   }
 
-  /// Multi-source Dijkstra from `sources` until any vertex of `targets`
-  /// is settled.  Returns the path (vertex ids) or empty when unreachable.
-  /// Scratch arrays are epoch-stamped so consecutive rounds of the Steiner
-  /// construction skip the O(vertices) reset.
+  /// Multi-source Dijkstra from `sources` until a vertex of `targets` (a
+  /// sorted list) is settled.  Returns the path (vertex ids) or empty when
+  /// unreachable.
+  ///
+  /// The indexed heap pops exactly the (dist, vertex) sequence a lazy
+  /// std::priority_queue<pair<double, size_t>> does: a lazy heap's live
+  /// entries are precisely the unsettled reached vertices at their current
+  /// distances (stale entries are skipped), and the order is total.  A
+  /// settled vertex is never relaxed again (distances popped later are no
+  /// smaller and edge lengths are positive), so skipping settled vertices
+  /// changes nothing either: every predecessor, and so every route, is
+  /// the one the lazy search picks.
   std::vector<std::size_t> shortest_path(
       const std::vector<std::size_t>& sources,
-      const std::set<std::size_t>& targets) const {
-    const std::size_t nv = blocked_.size();
-    ++epoch_;
-    const double inf = std::numeric_limits<double>::infinity();
-    auto dist_of = [&](std::size_t v) {
-      return stamp_[v] == epoch_ ? dist_[v] : inf;
-    };
-    using QE = std::pair<double, std::size_t>;
-    std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
+      const std::vector<std::size_t>& targets) {
+    heap_.reset();
     for (std::size_t s : sources) {
-      if (blocked_[s]) continue;
-      stamp_[s] = epoch_;
-      dist_[s] = 0.0;
-      prev_[s] = nv;
-      pq.emplace(0.0, s);
+      if (blocked_[s] || heap_.seen(s)) continue;
+      heap_.push_or_decrease(s, 0.0);
+      from_[s] = kSource;
     }
+    const std::size_t nv = blocked_.size();
     std::size_t goal = nv;
-    while (!pq.empty()) {
-      const auto [d, v] = pq.top();
-      pq.pop();
-      if (d > dist_of(v)) continue;
-      if (targets.count(v)) {
+    const auto nxs = static_cast<std::size_t>(nx_);
+    while (!heap_.empty()) {
+      const auto [d, v] = heap_.pop();
+      if (std::binary_search(targets.begin(), targets.end(), v)) {
         goal = v;
         break;
       }
-      const int i = static_cast<int>(v % static_cast<std::size_t>(nx_));
-      const int j = static_cast<int>(v / static_cast<std::size_t>(nx_));
-      const std::array<std::pair<int, int>, 4> nbrs{
-          {{i - 1, j}, {i + 1, j}, {i, j - 1}, {i, j + 1}}};
-      for (const auto& [ni, nj] : nbrs) {
-        if (ni < 0 || ni >= nx_ || nj < 0 || nj >= ny_) continue;
-        const std::size_t u = id(ni, nj);
-        if (blocked_[u] || edge_blocked(i, j, ni, nj)) continue;
-        const double w =
-            std::abs(xs_[static_cast<std::size_t>(ni)] - xs_[static_cast<std::size_t>(i)]) +
-            std::abs(ys_[static_cast<std::size_t>(nj)] - ys_[static_cast<std::size_t>(j)]);
-        if (dist_[v] + w < dist_of(u) - 1e-12) {
-          stamp_[u] = epoch_;
-          dist_[u] = dist_[v] + w;
-          prev_[u] = v;
-          pq.emplace(dist_[u], u);
+      const std::size_t i = v % nxs;
+      const std::size_t j = v / nxs;
+      // Neighbours in the lazy search's order: west, east, south, north.
+      // `back` is the direction from the neighbour back to v.
+      auto relax = [&](std::size_t u, bool edge_blocked, double w,
+                       std::uint8_t back) {
+        if (blocked_[u] || edge_blocked || heap_.settled(u)) return;
+        if (d + w < heap_.dist(u) - 1e-12) {
+          heap_.push_or_decrease(u, d + w);
+          from_[u] = back;
         }
+      };
+      const std::size_t hrow = j * (nxs - 1);
+      if (i > 0) relax(v - 1, hblocked_[hrow + i - 1], dx_[i - 1], kEast);
+      if (i + 1 < nxs) relax(v + 1, hblocked_[hrow + i], dx_[i], kWest);
+      if (j > 0) {
+        relax(v - nxs, vblocked_[(j - 1) * nxs + i], dy_[j - 1], kNorth);
+      }
+      if (j + 1 < static_cast<std::size_t>(ny_)) {
+        relax(v + nxs, vblocked_[j * nxs + i], dy_[j], kSouth);
       }
     }
     std::vector<std::size_t> path;
     if (goal == nv) return path;
-    for (std::size_t v = goal; v != nv; v = prev_[v]) path.push_back(v);
+    for (std::size_t v = goal;;) {
+      path.push_back(v);
+      switch (from_[v]) {
+        case kWest: v -= 1; continue;
+        case kEast: v += 1; continue;
+        case kSouth: v -= nxs; continue;
+        case kNorth: v += nxs; continue;
+        default: break;
+      }
+      break;
+    }
     std::reverse(path.begin(), path.end());
     return path;
   }
 
  private:
+  /// Predecessor directions: where a settled vertex's path came from.
+  static constexpr std::uint8_t kWest = 0, kEast = 1, kSouth = 2, kNorth = 3,
+                                kSource = 4;
+  /// Vertex ids must fit the heap's 32-bit positions and its sentinels.
+  static constexpr std::size_t kMaxVertices = 0xFFFFFFFEu;
+
   /// Marks every (x, y) grid cell covered by the half-open obstacle span,
   /// exactly reproducing Rect::contains on each coordinate pair.
   static void mark_covered(const std::vector<double>& xcoords,
@@ -200,28 +316,15 @@ class EscapeGraph {
     }
   }
 
-  /// Mid-point occlusion, looked up in the precomputed edge bitmaps (the
-  /// midpoint of two adjacent grid lines is exact, so this matches the old
-  /// per-query obstacle scan bit for bit).
-  bool edge_blocked(int i0, int j0, int i1, int j1) const {
-    if (j0 == j1) {
-      return hblocked_[static_cast<std::size_t>(j0) * (nx_ - 1) +
-                       static_cast<std::size_t>(std::min(i0, i1))];
-    }
-    return vblocked_[static_cast<std::size_t>(std::min(j0, j1)) * nx_ +
-                     static_cast<std::size_t>(i0)];
-  }
-
-  std::vector<geom::Rect> obstacles_;
   std::vector<double> xs_, ys_;
-  std::vector<double> xmid_, ymid_;  ///< midpoints of adjacent grid lines
+  std::vector<double> dx_, dy_;  ///< lengths of the grid's x / y edges
   int nx_ = 0, ny_ = 0;
-  std::vector<bool> blocked_;            ///< vertex inside an obstacle
-  std::vector<bool> hblocked_, vblocked_;  ///< edge midpoint inside one
-  mutable std::vector<double> dist_;
-  mutable std::vector<std::size_t> prev_;
-  mutable std::vector<std::uint32_t> stamp_;
-  mutable std::uint32_t epoch_ = 0;
+  std::vector<bool> blocked_;  ///< vertex inside an obstacle
+  /// Edge midpoint inside an obstacle (the midpoint of two adjacent grid
+  /// lines is exact, so this matches a per-query obstacle scan bit for bit).
+  std::vector<bool> hblocked_, vblocked_;
+  VertexHeap heap_;                 ///< search scratch, reset per round
+  std::vector<std::uint8_t> from_;  ///< predecessor direction per vertex
 };
 
 }  // namespace
@@ -243,8 +346,11 @@ SteinerTree route_net(std::span<const geom::Point> terminals,
   // Grow the tree from the first terminal, attaching the nearest remaining
   // terminal through a shortest obstacle-avoiding path each round.
   std::vector<std::size_t> tree_vertices = {term_v[0]};
-  std::set<std::size_t> remaining(term_v.begin() + 1, term_v.end());
-  remaining.erase(term_v[0]);
+  std::vector<std::size_t> remaining(term_v.begin() + 1, term_v.end());
+  std::sort(remaining.begin(), remaining.end());
+  remaining.erase(std::unique(remaining.begin(), remaining.end()),
+                  remaining.end());
+  std::erase(remaining, term_v[0]);
   std::vector<std::pair<std::size_t, std::size_t>> vedges;
   while (!remaining.empty()) {
     const auto path = g.shortest_path(tree_vertices, remaining);
@@ -255,7 +361,7 @@ SteinerTree route_net(std::span<const geom::Point> terminals,
       vedges.emplace_back(path[k - 1], path[k]);
       tree_vertices.push_back(path[k]);
     }
-    remaining.erase(path.back());
+    std::erase(remaining, path.back());
   }
 
   // Compact vertex ids into tree nodes; merge duplicate edges.
@@ -327,57 +433,118 @@ std::vector<Conduit> to_conduits(const SteinerTree& tree,
   return conduits;
 }
 
+namespace {
+
+/// One net's routing outcome, written by whichever worker routed it.
+struct NetSlot {
+  bool routed = false;
+  bool failed = false;
+  SteinerTree tree;
+  std::vector<Conduit> conduits;
+  double length = 0.0;
+  std::exception_ptr error;  ///< anything but a routing failure
+};
+
+/// Routes net `ni` into `slot`.  `on_net` is the calling worker's
+/// all-zero per-block buffer; it is all-zero again on return.
+void route_one(const floorplan::Instance& inst,
+               const std::vector<geom::Rect>& rects,
+               const std::vector<int>& routing_dirs, std::size_t ni,
+               std::vector<char>& on_net, NetSlot& slot) {
+  const auto& net = inst.nets[ni];
+  if (net.size() < 2) return;
+  std::vector<geom::Point> pins;
+  for (int b : net) {
+    const int dir = b < static_cast<int>(routing_dirs.size())
+                        ? routing_dirs[static_cast<std::size_t>(b)]
+                        : 0;
+    pins.push_back(
+        block_pin_for_net(rects[static_cast<std::size_t>(b)], dir, ni));
+    on_net[static_cast<std::size_t>(b)] = 1;
+  }
+  // The escape graph is clipped to a window around the net's pins:
+  // obstacles far outside the pin bounding box cannot improve the route,
+  // but their Hanan lines quadratically inflate the grid.
+  geom::Rect window = geom::bounding_box_points(pins);
+  window = window.inflated(0.25 * std::max(window.w, window.h) + 2.0);
+  auto gather_obstacles = [&](bool clip) {
+    std::vector<geom::Rect> obstacles;
+    for (int b = 0; b < inst.num_blocks(); ++b) {
+      if (on_net[static_cast<std::size_t>(b)]) continue;
+      const geom::Rect& r = rects[static_cast<std::size_t>(b)];
+      if (clip && !r.overlaps(window)) continue;
+      obstacles.push_back(r);
+    }
+    return obstacles;
+  };
+  try {
+    try {
+      slot.tree = route_net(pins, gather_obstacles(true));
+    } catch (const std::runtime_error&) {
+      // A pin walled in by window-boundary obstacles may still escape on
+      // the full graph; retry once before declaring the net failed.
+      slot.tree = route_net(pins, gather_obstacles(false));
+    }
+    slot.length = slot.tree.length();
+    slot.conduits = to_conduits(slot.tree, "net" + std::to_string(ni));
+    slot.routed = true;
+  } catch (const std::runtime_error&) {
+    slot.failed = true;
+  }
+  for (int b : net) on_net[static_cast<std::size_t>(b)] = 0;
+}
+
+}  // namespace
+
 GlobalRoute global_route(const floorplan::Instance& inst,
                          const std::vector<geom::Rect>& rects,
                          const std::vector<int>& routing_dirs) {
+  if (rects.size() != static_cast<std::size_t>(inst.num_blocks())) {
+    throw std::invalid_argument(
+        "global_route: " + std::to_string(rects.size()) + " rects for " +
+        std::to_string(inst.num_blocks()) + " blocks");
+  }
+  // Nets fan out over the pool: each worker claims the next unrouted net
+  // from a shared cursor (the costly large-window nets cluster, so static
+  // chunks balance badly) and writes only that net's slot.  Jobs already
+  // running on a pool worker route inline.
+  const std::size_t num_nets = inst.nets.size();
+  std::vector<NetSlot> slots(num_nets);
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> abort{false};
+  num::parallel_for(
+      std::min<std::int64_t>(num::num_threads(),
+                             static_cast<std::int64_t>(num_nets)),
+      1, [&](std::int64_t, std::int64_t) {
+        std::vector<char> on_net(rects.size(), 0);
+        while (!abort.load(std::memory_order_relaxed)) {
+          const std::size_t ni =
+              cursor.fetch_add(1, std::memory_order_relaxed);
+          if (ni >= num_nets) break;
+          try {
+            route_one(inst, rects, routing_dirs, ni, on_net, slots[ni]);
+          } catch (...) {
+            // Nets claimed before this one still finish, so the merge
+            // below finds the lowest-index error, as a serial loop would.
+            slots[ni].error = std::current_exception();
+            abort.store(true, std::memory_order_relaxed);
+          }
+        }
+      });
+  // Merge in net order, so the result is bitwise identical at any thread
+  // count (the wirelength sum included).
   GlobalRoute gr;
-  std::vector<char> on_net(static_cast<std::size_t>(inst.num_blocks()), 0);
-  for (std::size_t ni = 0; ni < inst.nets.size(); ++ni) {
-    const auto& net = inst.nets[ni];
-    if (net.size() < 2) continue;
-    std::vector<geom::Point> pins;
-    for (int b : net) {
-      const int dir = b < static_cast<int>(routing_dirs.size())
-                          ? routing_dirs[static_cast<std::size_t>(b)]
-                          : 0;
-      pins.push_back(
-          block_pin_for_net(rects[static_cast<std::size_t>(b)], dir, ni));
-      on_net[static_cast<std::size_t>(b)] = 1;
-    }
-    // The escape graph is clipped to a window around the net's pins:
-    // obstacles far outside the pin bounding box cannot improve the route,
-    // but their Hanan lines quadratically inflate the grid.
-    geom::Rect window = geom::bounding_box_points(pins);
-    window = window.inflated(0.25 * std::max(window.w, window.h) + 2.0);
-    auto gather_obstacles = [&](bool clip) {
-      std::vector<geom::Rect> obstacles;
-      for (int b = 0; b < inst.num_blocks(); ++b) {
-        if (on_net[static_cast<std::size_t>(b)]) continue;
-        const geom::Rect& r = rects[static_cast<std::size_t>(b)];
-        if (clip && !r.overlaps(window)) continue;
-        obstacles.push_back(r);
-      }
-      return obstacles;
-    };
-    const std::string name = "net" + std::to_string(ni);
-    try {
-      SteinerTree tree;
-      try {
-        tree = route_net(pins, gather_obstacles(true));
-      } catch (const std::runtime_error&) {
-        // A pin walled in by window-boundary obstacles may still escape on
-        // the full graph; retry once before declaring the net failed.
-        tree = route_net(pins, gather_obstacles(false));
-      }
-      gr.total_wirelength += tree.length();
-      const auto cs = to_conduits(tree, name);
-      gr.conduits.insert(gr.conduits.end(), cs.begin(), cs.end());
-      gr.trees.push_back(std::move(tree));
-      gr.net_names.push_back(name);
-    } catch (const std::runtime_error&) {
-      ++gr.failed_nets;
-    }
-    for (int b : net) on_net[static_cast<std::size_t>(b)] = 0;
+  for (std::size_t ni = 0; ni < num_nets; ++ni) {
+    NetSlot& slot = slots[ni];
+    if (slot.error) std::rethrow_exception(slot.error);
+    if (slot.failed) ++gr.failed_nets;
+    if (!slot.routed) continue;
+    gr.total_wirelength += slot.length;
+    gr.conduits.insert(gr.conduits.end(),
+                       std::make_move_iterator(slot.conduits.begin()),
+                       std::make_move_iterator(slot.conduits.end()));
+    gr.trees.push_back(std::move(slot.tree));
+    gr.net_names.push_back("net" + std::to_string(ni));
   }
   return gr;
 }

@@ -4,9 +4,16 @@
 // Per net: an escape graph is built from the Hanan coordinates of the
 // terminals plus the (slightly inflated) obstacle boundaries; terminals
 // are connected one at a time via Dijkstra shortest paths over the graph
-// (nearest-terminal-first Steiner construction).  The resulting tree is
+// (nearest-terminal-first Steiner construction).  The search runs on an
+// indexed (dist, vertex) min-heap with decrease-key, about 5 bytes of
+// scratch per vertex, and pops the same sequence a lazy priority queue
+// would, so routes do not depend on the heap.  The resulting tree is
 // segmented into per-layer conduits that guide detailed routing:
 // horizontal segments on layer 1, vertical on layer 2.
+//
+// global_route fans nets out over the shared numeric pool and merges the
+// per-net results in net order: output is bitwise identical for any
+// AFP_NUM_THREADS.
 #pragma once
 
 #include <span>
@@ -72,6 +79,11 @@ struct GlobalRoute {
 /// graph is available; here: north).  Each net's escape graph only sees the
 /// obstacles inside a window around its pins; a net that cannot be routed
 /// there is retried once against every obstacle before it counts as failed.
+/// Nets are routed concurrently on the numeric pool (inline when called from
+/// a pool worker) and merged in net order, so the result does not depend on
+/// the thread count; when a net throws anything but std::runtime_error, the
+/// lowest-index such exception propagates.  Throws std::invalid_argument
+/// unless `rects` holds one rectangle per block.
 GlobalRoute global_route(const floorplan::Instance& inst,
                          const std::vector<geom::Rect>& rects,
                          const std::vector<int>& routing_dirs = {});
