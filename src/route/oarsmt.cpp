@@ -437,11 +437,9 @@ namespace {
 
 /// One net's routing outcome, written by whichever worker routed it.
 struct NetSlot {
-  bool routed = false;
   bool failed = false;
   SteinerTree tree;
   std::vector<Conduit> conduits;
-  double length = 0.0;
   std::exception_ptr error;  ///< anything but a routing failure
 };
 
@@ -485,9 +483,7 @@ void route_one(const floorplan::Instance& inst,
       // the full graph; retry once before declaring the net failed.
       slot.tree = route_net(pins, gather_obstacles(false));
     }
-    slot.length = slot.tree.length();
     slot.conduits = to_conduits(slot.tree, "net" + std::to_string(ni));
-    slot.routed = true;
   } catch (const std::runtime_error&) {
     slot.failed = true;
   }
@@ -538,8 +534,8 @@ GlobalRoute global_route(const floorplan::Instance& inst,
     NetSlot& slot = slots[ni];
     if (slot.error) std::rethrow_exception(slot.error);
     if (slot.failed) ++gr.failed_nets;
-    if (!slot.routed) continue;
-    gr.total_wirelength += slot.length;
+    if (slot.failed || inst.nets[ni].size() < 2) continue;
+    gr.total_wirelength += slot.tree.length();
     gr.conduits.insert(gr.conduits.end(),
                        std::make_move_iterator(slot.conduits.begin()),
                        std::make_move_iterator(slot.conduits.end()));

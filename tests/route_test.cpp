@@ -435,28 +435,13 @@ TEST(GlobalRoute, WindowedLargeInstanceRoutesCleanly) {
   for (const auto& nl : {netlist::make_driver(),
                          netlist::make_folded_cascode(), sc.netlist}) {
     SCOPED_TRACE(nl.name());
-    auto g = graphir::build_graph(nl, structrec::recognize(nl));
-    auto inst = floorplan::make_instance(g);
-    std::vector<geom::Rect> rects;
-    double x = 0.0, y = 0.0, row_h = 0.0;
-    int col = 0;
-    for (const auto& b : inst.blocks) {
-      // 10-wide grid of blocks so windows genuinely exclude far obstacles.
-      rects.push_back({x, y, b.shapes[1].w, b.shapes[1].h});
-      x += b.shapes[1].w + 1.0;
-      row_h = std::max(row_h, b.shapes[1].h);
-      if (++col == 10) {
-        col = 0;
-        x = 0.0;
-        y += row_h + 1.0;
-        row_h = 0.0;
-      }
-    }
-    const auto gr = global_route(inst, rects);
+    // 10-wide grid of blocks so windows genuinely exclude far obstacles.
+    const Placed p = place_on_grid(nl, 10);
+    const auto gr = global_route(p.inst, p.rects);
     EXPECT_EQ(gr.failed_nets, 0);
     EXPECT_GT(gr.total_wirelength, 0.0);
     std::size_t multipin = 0;
-    for (const auto& net : inst.nets) multipin += net.size() >= 2 ? 1 : 0;
+    for (const auto& net : p.inst.nets) multipin += net.size() >= 2 ? 1 : 0;
     EXPECT_EQ(gr.trees.size(), multipin);
     for (const auto& t : gr.trees) {
       EXPECT_TRUE(tree_connected(t));
