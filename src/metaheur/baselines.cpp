@@ -5,7 +5,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "metaheur/eval_cache.hpp"
+#include "metaheur/chains.hpp"
 #include "numeric/parallel.hpp"
 
 namespace afp::metaheur {
@@ -67,36 +67,7 @@ double resolve_spacing(const floorplan::Instance& inst, double spacing_um) {
 
 BaselineResult run_sa(const floorplan::Instance& inst, const SAParams& p,
                       std::mt19937_64& rng) {
-  const auto t0 = Clock::now();
-  const double spacing = resolve_spacing(inst, p.spacing_um);
-  SpEvaluator ev(inst, spacing, p.tt);
-  SequencePair cur = SequencePair::random(inst.num_blocks(), rng);
-  double cur_cost = ev.cost(cur);
-  SequencePair best = cur;
-  double best_cost = cur_cost;
-  long evals = 1;
-
-  const double decay =
-      std::pow(p.t_end / p.t_start, 1.0 / std::max(1, p.iterations - 1));
-  double temp = p.t_start;
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
-  StopPoll stopped(p.stop);
-  for (int it = 0; it < p.iterations; ++it, temp *= decay) {
-    if (stopped()) break;  // best-so-far; caller classifies why
-    SequencePair cand = cur;
-    apply_move(cand, random_move(rng), rng);
-    const double cost = ev.cost(cand);
-    ++evals;
-    if (cost < cur_cost || unif(rng) < std::exp((cur_cost - cost) / temp)) {
-      cur = std::move(cand);
-      cur_cost = cost;
-      if (cur_cost < best_cost) {
-        best = cur;
-        best_cost = cur_cost;
-      }
-    }
-  }
-  return finish("SA", inst, best, spacing, t0, evals);
+  return anneal<SpChain>(inst, p, rng, "SA");
 }
 
 BaselineResult run_ga(const floorplan::Instance& inst, const GAParams& p,
@@ -292,6 +263,7 @@ BaselineResult run_rlsa(const floorplan::Instance& inst, const RLSAParams& p,
                         std::mt19937_64& rng) {
   // Move-type preferences theta, softmax policy pi(m); REINFORCE update
   // theta[m] += lr * improvement * (1 - pi(m)) after each proposal.
+  check_schedule("RL-SA[13]", p.iterations, p.t_start, p.t_end);
   const auto t0 = Clock::now();
   const double spacing = resolve_spacing(inst, p.spacing_um);
   SpEvaluator ev(inst, spacing, p.tt);

@@ -1,12 +1,9 @@
 #include "metaheur/bstar.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <numeric>
-#include <stack>
 
-#include "metaheur/eval_cache.hpp"
+#include "metaheur/chains.hpp"
 
 namespace afp::metaheur {
 
@@ -52,12 +49,11 @@ bool BStarTree::valid() const {
     return false;
   }
   std::vector<bool> seen(static_cast<std::size_t>(n), false);
-  std::stack<int> st;
-  st.push(root);
+  std::vector<int> st{root};
   int count = 0;
   while (!st.empty()) {
-    const int b = st.top();
-    st.pop();
+    const int b = st.back();
+    st.pop_back();
     if (b < 0 || b >= n || seen[static_cast<std::size_t>(b)]) return false;
     seen[static_cast<std::size_t>(b)] = true;
     ++count;
@@ -65,46 +61,48 @@ bool BStarTree::valid() const {
                   right[static_cast<std::size_t>(b)]}) {
       if (c >= 0) {
         if (parent[static_cast<std::size_t>(c)] != b) return false;
-        st.push(c);
+        st.push_back(c);
       }
     }
   }
   return count == n;
 }
 
-std::vector<geom::Rect> pack_bstar(const floorplan::Instance& inst,
-                                   const BStarTree& tree, double spacing_um) {
-  const int n = tree.size();
-  std::vector<geom::Rect> rects(static_cast<std::size_t>(n));
-  std::vector<double> w(static_cast<std::size_t>(n)), h(static_cast<std::size_t>(n));
-  for (int b = 0; b < n; ++b) {
-    const auto& sh = inst.blocks[static_cast<std::size_t>(b)]
-                         .shapes[static_cast<std::size_t>(
-                             tree.shapes[static_cast<std::size_t>(b)])];
-    w[static_cast<std::size_t>(b)] = sh.w + 2.0 * spacing_um;
-    h[static_cast<std::size_t>(b)] = sh.h + 2.0 * spacing_um;
-  }
-  Contour contour;
+void pack_bstar_into(const floorplan::Instance& inst, const BStarTree& tree,
+                     double spacing_um, BStarScratch& scratch,
+                     std::vector<geom::Rect>& rects) {
+  rects.resize(static_cast<std::size_t>(tree.size()));
+  Contour& contour = scratch.contour;
+  auto& st = scratch.stack;
+  contour.clear();
+  st.clear();
   // Preorder DFS; children carry their packed x position.
-  std::stack<std::pair<int, double>> st;
-  st.emplace(tree.root, 0.0);
+  st.emplace_back(tree.root, 0.0);
   while (!st.empty()) {
-    const auto [b, x] = st.top();
-    st.pop();
-    const double y = contour.query(x, x + w[static_cast<std::size_t>(b)]);
-    contour.update(x, x + w[static_cast<std::size_t>(b)],
-                   y + h[static_cast<std::size_t>(b)]);
+    const auto [b, x] = st.back();
+    st.pop_back();
     const auto& sh = inst.blocks[static_cast<std::size_t>(b)]
                          .shapes[static_cast<std::size_t>(
                              tree.shapes[static_cast<std::size_t>(b)])];
+    const double w = sh.w + 2.0 * spacing_um;
+    const double h = sh.h + 2.0 * spacing_um;
+    const double y = contour.query(x, x + w);
+    contour.update(x, x + w, y + h);
     rects[static_cast<std::size_t>(b)] = {x + spacing_um, y + spacing_um,
                                           sh.w, sh.h};
     const int l = tree.left[static_cast<std::size_t>(b)];
     const int r = tree.right[static_cast<std::size_t>(b)];
     // Right child keeps x (stacks above); left child starts at x + w.
-    if (r >= 0) st.emplace(r, x);
-    if (l >= 0) st.emplace(l, x + w[static_cast<std::size_t>(b)]);
+    if (r >= 0) st.emplace_back(r, x);
+    if (l >= 0) st.emplace_back(l, x + w);
   }
+}
+
+std::vector<geom::Rect> pack_bstar(const floorplan::Instance& inst,
+                                   const BStarTree& tree, double spacing_um) {
+  BStarScratch scratch;
+  std::vector<geom::Rect> rects;
+  pack_bstar_into(inst, tree, spacing_um, scratch, rects);
   return rects;
 }
 
@@ -190,45 +188,7 @@ void apply_bstar_move(BStarTree& tree, BStarMove move, std::mt19937_64& rng) {
 
 BaselineResult run_sa_bstar(const floorplan::Instance& inst,
                             const BStarSAParams& p, std::mt19937_64& rng) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const double spacing = resolve_spacing(inst, p.spacing_um);
-  BStarEvaluator ev(inst, spacing, p.tt);
-  BStarTree cur = BStarTree::random(inst.num_blocks(), rng);
-  double cur_cost = ev.cost(cur);
-  BStarTree best = cur;
-  double best_cost = cur_cost;
-  long evals = 1;
-
-  const double decay =
-      std::pow(p.t_end / p.t_start, 1.0 / std::max(1, p.iterations - 1));
-  double temp = p.t_start;
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
-  std::uniform_int_distribution<int> mv(0, kNumBStarMoves - 1);
-  StopPoll stopped(p.stop);
-  for (int it = 0; it < p.iterations; ++it, temp *= decay) {
-    if (stopped()) break;
-    BStarTree cand = cur;
-    apply_bstar_move(cand, static_cast<BStarMove>(mv(rng)), rng);
-    const double cost = ev.cost(cand);
-    ++evals;
-    if (cost < cur_cost || unif(rng) < std::exp((cur_cost - cost) / temp)) {
-      cur = std::move(cand);
-      cur_cost = cost;
-      if (cur_cost < best_cost) {
-        best = cur;
-        best_cost = cur_cost;
-      }
-    }
-  }
-  BaselineResult r;
-  r.method = "SA-B*[15]";
-  r.rects = pack_bstar(inst, best, spacing);
-  r.eval = floorplan::evaluate_floorplan(inst, r.rects);
-  r.runtime_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.evaluations = evals;
-  return r;
+  return anneal<BStarChain>(inst, p, rng, "SA-B*[15]");
 }
 
 }  // namespace afp::metaheur

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "floorplan/instance.hpp"
@@ -37,11 +38,9 @@ struct BStarTree {
 };
 
 /// Horizontal contour: max height per x interval.  Linear-scan segment
-/// list — exact and ample for tens of blocks.  Copyable on purpose: the
-/// incremental evaluator (metaheur/eval_cache) snapshots the contour at
-/// checkpoints and replays only the DFS suffix a move invalidated, so the
-/// full packer and the delta packer must share one implementation to stay
-/// bitwise identical.
+/// list — exact and ample for tens of blocks.  clear() keeps the segment
+/// buffers' capacity, so a contour reused across packings (see
+/// BStarScratch) stops allocating once it has seen the widest floorplan.
 class Contour {
  public:
   /// Max height over [x0, x1).
@@ -91,8 +90,22 @@ class Contour {
   std::vector<Seg> scratch_;  ///< update() staging (at most 3 segments)
 };
 
-/// Packs the tree into rectangles using the contour algorithm.
-/// `spacing_um` pads every block on all sides (congestion margin).
+/// Caller-owned working state of the contour packer.  A caller that packs
+/// repeatedly (the annealing evaluator) keeps one, so steady-state packs
+/// allocate nothing.
+struct BStarScratch {
+  Contour contour;
+  std::vector<std::pair<int, double>> stack;  ///< DFS frontier: (node, x)
+};
+
+/// Packs the tree into `rects` (resized to the block count) using the
+/// contour algorithm.  `spacing_um` pads every block on all sides
+/// (congestion margin).
+void pack_bstar_into(const floorplan::Instance& inst, const BStarTree& tree,
+                     double spacing_um, BStarScratch& scratch,
+                     std::vector<geom::Rect>& rects);
+
+/// By-value convenience over pack_bstar_into with fresh buffers.
 std::vector<geom::Rect> pack_bstar(const floorplan::Instance& inst,
                                    const BStarTree& tree,
                                    double spacing_um = 0.0);
@@ -107,15 +120,9 @@ constexpr int kNumBStarMoves = 3;
 
 void apply_bstar_move(BStarTree& tree, BStarMove move, std::mt19937_64& rng);
 
-/// Simulated annealing over B*-trees; same cost as the SP baselines.
-struct BStarSAParams {
-  int iterations = 4000;
-  double t_start = 2.0;
-  double t_end = 1e-3;
-  double spacing_um = -1.0;  ///< < 0 = auto (one grid cell)
-  const CancelToken* stop = nullptr;  ///< polled per move; null = never
-  TranspositionCache* tt = nullptr;  ///< optional shared memo (job-scoped)
-};
+/// Simulated annealing over B*-trees: the sequence-pair annealer's loop,
+/// schedule and cost over the other encoding.
+using BStarSAParams = SAParams;
 BaselineResult run_sa_bstar(const floorplan::Instance& inst,
                             const BStarSAParams& p, std::mt19937_64& rng);
 

@@ -66,6 +66,49 @@ void check_parity(const char* tag, double full_cost, double delta_cost,
   }
 }
 
+/// The mode dispatch both evaluators share.  `full()` is the legacy repack
+/// (returns the rects), `delta()` the incremental path (returns the cost and
+/// leaves its packing in `delta_rects`).  Full mode bypasses memoization and
+/// incremental state alike — the honest baseline the bench compares
+/// against; delta mode memoizes through `tt` when one is given; check mode
+/// runs both paths on every evaluation and requires bitwise agreement, and
+/// a TT hit must equal the recompute.
+template <class State, class Full, class Delta>
+double dispatch_cost(const char* tag, const floorplan::Instance& inst,
+                     TranspositionCache* tt, const State& state, Full full,
+                     Delta delta, const std::vector<geom::Rect>& delta_rects) {
+  const EvalMode mode = eval_mode();
+  if (mode == EvalMode::kFull) return sp_cost(inst, full());
+  if (mode == EvalMode::kDelta) {
+    if (tt == nullptr) return delta();
+    const TranspositionCache::Key key = TranspositionCache::hash(state);
+    double c = 0.0;
+    if (tt->lookup(key, &c)) return c;
+    c = delta();
+    tt->insert(key, c);
+    return c;
+  }
+  const auto full_rects = full();
+  const double full_cost = sp_cost(inst, full_rects);
+  double tt_cost = 0.0;
+  bool tt_hit = false;
+  TranspositionCache::Key key{};
+  if (tt != nullptr) {
+    key = TranspositionCache::hash(state);
+    tt_hit = tt->lookup(key, &tt_cost);
+  }
+  const double delta_cost = delta();
+  check_parity(tag, full_cost, delta_cost, full_rects, delta_rects);
+  if (tt_hit) {
+    if (!same_bits(tt_cost, full_cost)) {
+      parity_failure((std::string(tag) + " tt").c_str(), full_cost, tt_cost);
+    }
+  } else if (tt != nullptr) {
+    tt->insert(key, full_cost);
+  }
+  return full_cost;
+}
+
 }  // namespace
 
 EvalMode eval_mode() {
@@ -100,30 +143,7 @@ const char* to_string(EvalMode mode) {
 // ---------------------------------------------------------------------------
 // TranspositionCache
 
-TranspositionCache::TranspositionCache(long capacity) {
-  if (capacity < 0) capacity = default_capacity();
-  per_stripe_cap_ =
-      capacity == 0
-          ? 0
-          : std::max<std::size_t>(1, static_cast<std::size_t>(capacity) /
-                                         static_cast<std::size_t>(kStripes));
-}
-
-long TranspositionCache::default_capacity() {
-  if (const char* s = std::getenv("AFP_TT_CAP")) {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s && v >= 0) return v;
-    std::fprintf(stderr, "afp: ignoring malformed AFP_TT_CAP=%s\n", s);
-  }
-  return 1L << 18;
-}
-
 bool TranspositionCache::lookup(const Key& k, double* cost) const {
-  if (per_stripe_cap_ == 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
   const Stripe& s = stripes_[k.h1 % static_cast<std::uint64_t>(kStripes)];
   std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.map.find(k.h1);
@@ -137,10 +157,6 @@ bool TranspositionCache::lookup(const Key& k, double* cost) const {
 }
 
 void TranspositionCache::insert(const Key& k, double cost) {
-  if (per_stripe_cap_ == 0) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   Stripe& s = stripes_[k.h1 % static_cast<std::uint64_t>(kStripes)];
   std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.map.find(k.h1);
@@ -148,7 +164,7 @@ void TranspositionCache::insert(const Key& k, double cost) {
     it->second = {k.h2, cost};  // refresh (h1 collision overwrite is a wash)
     return;
   }
-  if (s.map.size() >= per_stripe_cap_) {  // full stripe: drop, no evict
+  if (s.map.size() >= kPerStripeCap) {  // full stripe: drop, no evict
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -220,28 +236,34 @@ void RectScorer::bind(const floorplan::Instance& inst) {
 
 double RectScorer::cost(const std::vector<geom::Rect>& rects,
                         const std::vector<int>& moved, bool full) {
-  // Mirrors sp_cost(evaluate_floorplan(inst, rects)) term by term.  On the
-  // satisfied branch sp_cost returns -(-r) == r bitwise (IEEE negation is a
-  // sign-bit flip); on the violated branch it re-evaluates a copied instance
-  // with constraints stripped, whose reward terms are identical to ours, and
-  // adds the soft penalty.  Using the cached total area and the incremental
-  // HPWL keeps every contributing double bit-identical to the legacy path.
-  const floorplan::RewardWeights w;
-  const geom::Rect bb = geom::bounding_box(rects);
-  const double area = bb.area();
   // When most blocks moved, nearly every net is dirty and the per-net flag
   // bookkeeping of update() costs more than rescanning everything; both
   // paths run the same per-net min/max chain, so the sum is bit-identical.
   const bool rescan_all = full || 2 * moved.size() >= rects.size();
-  const double hpwl =
-      rescan_all ? hpwl_.recompute(rects) : hpwl_.update(rects, moved);
+  return score_rects(*inst_, total_area_, rects,
+                     rescan_all ? hpwl_.recompute(rects)
+                                : hpwl_.update(rects, moved));
+}
+
+double score_rects(const floorplan::Instance& inst, double total_area,
+                   const std::vector<geom::Rect>& rects, double hpwl) {
+  // Mirrors sp_cost(evaluate_floorplan(inst, rects)) term by term.  On the
+  // satisfied branch sp_cost returns -(-r) == r bitwise (IEEE negation is a
+  // sign-bit flip); on the violated branch it re-evaluates a copied instance
+  // with constraints stripped, whose reward terms are identical to ours, and
+  // adds the soft penalty.  Using the cached total area and the HPWL sum of
+  // the same per-net chain keeps every contributing double bit-identical to
+  // the legacy path.
+  const floorplan::RewardWeights w;
+  const geom::Rect bb = geom::bounding_box(rects);
+  const double area = bb.area();
   int total = 0;
-  const int violated = floorplan::constraint_violations(*inst_, rects, 1e-6,
+  const int violated = floorplan::constraint_violations(inst, rects, 1e-6,
                                                         &total);
-  double r = w.alpha * (area / std::max(1e-12, total_area_) - 1.0) +
-             w.beta * (hpwl / inst_->hpwl_ref - 1.0);
-  if (inst_->target_aspect) {
-    const double d = *inst_->target_aspect - geom::aspect_ratio(bb);
+  double r = w.alpha * (area / std::max(1e-12, total_area) - 1.0) +
+             w.beta * (hpwl / inst.hpwl_ref - 1.0);
+  if (inst.target_aspect) {
+    const double d = *inst.target_aspect - geom::aspect_ratio(bb);
     r += w.gamma * d * d;
   }
   return r + floorplan::constraint_penalty(violated, total);
@@ -259,43 +281,10 @@ SpEvaluator::SpEvaluator(const floorplan::Instance& inst, double spacing,
 }
 
 double SpEvaluator::cost(const SequencePair& sp) {
-  const EvalMode mode = eval_mode();
-  if (mode == EvalMode::kFull) {
-    // Pure legacy path: no memoization, no incremental state — the honest
-    // baseline the bench compares against.
-    return sp_cost(inst_, pack(inst_, sp, spacing_));
-  }
-  if (mode == EvalMode::kDelta) {
-    if (tt_ != nullptr) {
-      const TranspositionCache::Key key = TranspositionCache::hash(sp);
-      double c = 0.0;
-      if (tt_->lookup(key, &c)) return c;
-      c = eval_delta(sp);
-      tt_->insert(key, c);
-      return c;
-    }
-    return eval_delta(sp);
-  }
-  // Check mode: run the oracle and the delta path on every evaluation.
-  const auto full_rects = pack(inst_, sp, spacing_);
-  const double full_cost = sp_cost(inst_, full_rects);
-  double tt_cost = 0.0;
-  bool tt_hit = false;
-  TranspositionCache::Key key{};
-  if (tt_ != nullptr) {
-    key = TranspositionCache::hash(sp);
-    tt_hit = tt_->lookup(key, &tt_cost);
-  }
-  const double delta_cost = eval_delta(sp);
-  check_parity("sequence-pair", full_cost, delta_cost, full_rects, rects_);
-  if (tt_hit) {
-    if (!same_bits(tt_cost, full_cost)) {
-      parity_failure("sequence-pair tt", full_cost, tt_cost);
-    }
-  } else if (tt_ != nullptr) {
-    tt_->insert(key, full_cost);
-  }
-  return full_cost;
+  return dispatch_cost(
+      "sequence-pair", inst_, tt_, sp,
+      [&] { return pack(inst_, sp, spacing_); },
+      [&] { return eval_delta(sp); }, rects_);
 }
 
 double SpEvaluator::eval_delta(const SequencePair& sp) {
@@ -482,133 +471,25 @@ void SpEvaluator::repack(const SequencePair& sp) {
 
 BStarEvaluator::BStarEvaluator(const floorplan::Instance& inst, double spacing,
                                TranspositionCache* tt)
-    : inst_(inst), spacing_(spacing), tt_(tt) {
-  scorer_.bind(inst);
-}
+    : inst_(inst),
+      spacing_(spacing),
+      tt_(tt),
+      total_area_(inst.total_block_area()) {}
 
 double BStarEvaluator::cost(const BStarTree& tree) {
-  const EvalMode mode = eval_mode();
-  if (mode == EvalMode::kFull) {
-    return sp_cost(inst_, pack_bstar(inst_, tree, spacing_));
-  }
-  if (mode == EvalMode::kDelta) {
-    if (tt_ != nullptr) {
-      const TranspositionCache::Key key = TranspositionCache::hash(tree);
-      double c = 0.0;
-      if (tt_->lookup(key, &c)) return c;
-      c = eval_delta(tree);
-      tt_->insert(key, c);
-      return c;
-    }
-    return eval_delta(tree);
-  }
-  const auto full_rects = pack_bstar(inst_, tree, spacing_);
-  const double full_cost = sp_cost(inst_, full_rects);
-  double tt_cost = 0.0;
-  bool tt_hit = false;
-  TranspositionCache::Key key{};
-  if (tt_ != nullptr) {
-    key = TranspositionCache::hash(tree);
-    tt_hit = tt_->lookup(key, &tt_cost);
-  }
-  const double delta_cost = eval_delta(tree);
-  check_parity("b*-tree", full_cost, delta_cost, full_rects, rects_);
-  if (tt_hit) {
-    if (!same_bits(tt_cost, full_cost)) {
-      parity_failure("b*-tree tt", full_cost, tt_cost);
-    }
-  } else if (tt_ != nullptr) {
-    tt_->insert(key, full_cost);
-  }
-  return full_cost;
-}
-
-void BStarEvaluator::plan_steps(const BStarTree& tree,
-                                std::vector<Step>* steps) {
-  // The packed x of a node depends only on the tree topology and widths,
-  // never on the contour, so the whole DFS visit order with x positions can
-  // be planned in O(n) and diffed against the cached plan.  Push order
-  // (right, then left) matches pack_bstar so the preorder — and therefore
-  // every contour operation — is identical.
-  steps->clear();
-  auto& st = plan_stack_;
-  st.clear();
-  st.reserve(tree.left.size());
-  st.emplace_back(tree.root, 0.0);
-  while (!st.empty()) {
-    const auto [b, x] = st.back();
-    st.pop_back();
-    const int shape = tree.shapes[z(b)];
-    const auto& sh = inst_.blocks[z(b)].shapes[z(shape)];
-    steps->push_back({b, shape, x});
-    const int l = tree.left[z(b)];
-    const int r = tree.right[z(b)];
-    if (r >= 0) st.emplace_back(r, x);
-    if (l >= 0) st.emplace_back(l, x + (sh.w + 2.0 * spacing_));
-  }
+  return dispatch_cost(
+      "b*-tree", inst_, tt_, tree,
+      [&] { return pack_bstar(inst_, tree, spacing_); },
+      [&] { return eval_delta(tree); }, rects_);
 }
 
 double BStarEvaluator::eval_delta(const BStarTree& tree) {
-  const int n = tree.size();
-  plan_steps(tree, &scratch_steps_);
-  const bool first = !has_state_ || static_cast<int>(rects_.size()) != n;
-  if (first) rects_.assign(z(n), {});
-
-  // Longest common step prefix: contour state before step i depends only on
-  // steps < i, so snapshots at or before the first divergence stay valid.
-  int prefix = 0;
-  if (!first) {
-    const int common =
-        static_cast<int>(std::min(steps_.size(), scratch_steps_.size()));
-    while (prefix < common) {
-      const Step& a = steps_[z(prefix)];
-      const Step& b = scratch_steps_[z(prefix)];
-      if (a.node != b.node || a.shape != b.shape || !same_bits(a.x, b.x)) break;
-      ++prefix;
-    }
-  }
-  // Snapshot stride scales with n: each snapshot copies the whole contour,
-  // so a fixed stride would make the copies themselves O(n^2 / stride) per
-  // replay on large instances.  Slot j holds the contour before step
-  // j * stride; a slot stays valid while its step is within the common
-  // prefix, and replay resumes from the last valid one.
-  const int stride = std::max(kSnapshotStride, n / 8);
-  const int nslots = n / stride + 1;
-  if (static_cast<int>(snapshots_.size()) < nslots) {
-    snapshots_.resize(z(nslots));
-  }
-  nvalid_ = first ? 0 : std::min(nvalid_, prefix / stride + 1);
-  int begin = 0;
-  work_.clear();
-  if (nvalid_ > 0) {
-    work_ = snapshots_[z(nvalid_ - 1)].contour;
-    begin = snapshots_[z(nvalid_ - 1)].step;
-  }
-
-  moved_.clear();
-  for (int i = begin; i < n; ++i) {
-    if (i % stride == 0 && i / stride >= nvalid_) {
-      const int j = i / stride;
-      snapshots_[z(j)].step = i;
-      snapshots_[z(j)].contour = work_;
-      nvalid_ = j + 1;
-    }
-    const Step& s = scratch_steps_[z(i)];
-    const auto& sh = inst_.blocks[z(s.node)].shapes[z(s.shape)];
-    const double wb = sh.w + 2.0 * spacing_;
-    const double hb = sh.h + 2.0 * spacing_;
-    const double y = work_.query(s.x, s.x + wb);
-    work_.update(s.x, s.x + wb, y + hb);
-    const geom::Rect r{s.x + spacing_, y + spacing_, sh.w, sh.h};
-    if (first || !same_rect(r, rects_[z(s.node)])) {
-      rects_[z(s.node)] = r;
-      moved_.push_back(s.node);
-    }
-  }
-  steps_.swap(scratch_steps_);
-  full_rescan_ = first;
-  has_state_ = true;
-  return scorer_.cost(rects_, moved_, full_rescan_);
+  pack_bstar_into(inst_, tree, spacing_, scratch_, rects_);
+  // A B* move shifts every block after it in preorder, so most nets are
+  // dirty anyway: a plain HPWL scan measured faster than diffing the rects
+  // to feed the HPWL cache's incremental update.
+  return detail::score_rects(inst_, total_area_, rects_,
+                             floorplan::hpwl_of(inst_, rects_));
 }
 
 }  // namespace afp::metaheur

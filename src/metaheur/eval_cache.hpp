@@ -11,15 +11,19 @@
 //    longest paths only for blocks with a changed predecessor set or a
 //    dirty predecessor value — every recomputed coordinate runs the exact
 //    inner loop of pack(), so results are bitwise identical.
-//  * BStarEvaluator compares the new tree's preorder step list against the
-//    cached one, restores the contour from a periodic snapshot at the last
-//    common step, and replays only the DFS suffix.
+//  * BStarEvaluator re-packs the whole tree in one contour pass into reused
+//    buffers.  A move shifts every block after it in preorder, so replaying
+//    only the changed DFS suffix from contour snapshots, or diffing rects
+//    to update HPWL per net, cost more than it saved.
 //  * floorplan::HpwlCache re-scans only nets adjacent to moved blocks.
 //  * TranspositionCache memoizes encoding -> cost across restarts/replicas
 //    of one job (dual-SplitMix64 128-bit keys, striped locks).  Cached
 //    costs are pure functions of the key, so sharing the cache across pool
 //    threads cannot perturb results: 1-thread and N-thread runs stay
 //    bitwise identical.
+//
+// Both evaluators run one mode dispatch (TT lookup/insert, check-mode
+// parity), written once in eval_cache.cpp.
 //
 // Mode selection follows the simd_parity harness pattern: AFP_EVAL=
 // full|delta|check (default delta).  `full` is the legacy recompute,
@@ -52,24 +56,18 @@ const char* to_string(EvalMode mode);
 /// Keys are two independent SplitMix64 hashes of the encoding arrays (an
 /// effective 128-bit key, collision odds negligible at cache scale); the
 /// table is striped over mutexes so parallel-tempering replicas on the
-/// pool share it without serializing.  Bounded: inserts into a full stripe
-/// are dropped, so memory is capped and no eviction policy can introduce
-/// cross-run variance.  Hit or miss never changes a result — the cached
-/// value is exactly what a recompute would produce — which is what makes a
-/// shared cache safe under the bitwise thread-invariance contract.
+/// pool share it without serializing.  Bounded at 2^18 entries: inserts
+/// into a full stripe are dropped, so memory is capped and no eviction
+/// policy can introduce cross-run variance.  Hit or miss never changes a
+/// result — the cached value is exactly what a recompute would produce —
+/// which is what makes a shared cache safe under the bitwise
+/// thread-invariance contract.
 class TranspositionCache {
  public:
   struct Key {
     std::uint64_t h1 = 0;
     std::uint64_t h2 = 0;
   };
-
-  /// capacity <= 0 uses default_capacity().
-  explicit TranspositionCache(long capacity = -1);
-
-  /// AFP_TT_CAP environment override; default 1 << 18 entries, 0 disables
-  /// (every lookup misses, every insert drops).
-  static long default_capacity();
 
   bool lookup(const Key& k, double* cost) const;
   void insert(const Key& k, double cost);
@@ -91,8 +89,10 @@ class TranspositionCache {
     /// h1 -> (h2, cost); an h1 collision with a different h2 is a miss.
     std::unordered_map<std::uint64_t, std::pair<std::uint64_t, double>> map;
   };
+  /// 2^18 entries in all, split evenly over the stripes.
+  static constexpr std::size_t kPerStripeCap = (std::size_t{1} << 18) /
+                                               kStripes;
   Stripe stripes_[kStripes];
-  std::size_t per_stripe_cap_ = 0;
   mutable std::atomic<long> hits_{0};
   mutable std::atomic<long> misses_{0};
   mutable std::atomic<long> dropped_{0};
@@ -100,10 +100,14 @@ class TranspositionCache {
 
 namespace detail {
 
-/// Shared rect -> cost scoring with the per-net HPWL cache.  Mirrors the
-/// arithmetic of sp_cost(evaluate_floorplan(...)) term by term so the
-/// result is bitwise identical without re-deriving a relaxed instance on
-/// every constraint violation.
+/// Cost of `rects` given their HPWL sum.  Mirrors the arithmetic of
+/// sp_cost(evaluate_floorplan(...)) term by term so the result is bitwise
+/// identical without re-deriving a relaxed instance on every constraint
+/// violation.
+double score_rects(const floorplan::Instance& inst, double total_area,
+                   const std::vector<geom::Rect>& rects, double hpwl);
+
+/// score_rects with the HPWL sum kept up to date by the per-net cache.
 class RectScorer {
  public:
   void bind(const floorplan::Instance& inst);
@@ -165,9 +169,8 @@ class SpEvaluator {
   std::vector<double> fenx_, feny_;
 };
 
-/// Incremental cost evaluator over B*-trees: caches the preorder step list
-/// (node, shape, x) plus periodic contour snapshots, and replays only the
-/// DFS suffix after the first step a move changed.
+/// Cost evaluator over B*-trees: a full contour pack into reused buffers,
+/// scored without re-deriving a relaxed instance on constraint violations.
 class BStarEvaluator {
  public:
   BStarEvaluator(const floorplan::Instance& inst, double spacing,
@@ -177,40 +180,15 @@ class BStarEvaluator {
   double cost(const BStarTree& tree);
 
  private:
-  struct Step {
-    int node = -1;
-    int shape = -1;
-    double x = 0.0;
-  };
-  struct Snapshot {
-    int step = 0;  ///< contour state BEFORE replaying this step index
-    Contour contour;
-  };
-  static constexpr int kSnapshotStride = 8;
-
   double eval_delta(const BStarTree& tree);
-  /// Preorder step list with x positions (no contour work), O(n).
-  void plan_steps(const BStarTree& tree, std::vector<Step>* steps);
 
   const floorplan::Instance& inst_;
   double spacing_;
   TranspositionCache* tt_;
-  detail::RectScorer scorer_;
+  double total_area_;
 
-  bool has_state_ = false;
-  bool full_rescan_ = false;
-  std::vector<Step> steps_;
-  /// Fixed snapshot slots (slot j holds the contour before step
-  /// j * stride); the first nvalid_ slots are consistent with steps_.
-  /// Slots are assigned in place so their segment buffers keep capacity —
-  /// steady-state replays allocate nothing.
-  std::vector<Snapshot> snapshots_;
-  int nvalid_ = 0;
-  Contour work_;  ///< replay contour, kept for its buffer capacity
-  std::vector<geom::Rect> rects_;
-  std::vector<int> moved_;
-  std::vector<Step> scratch_steps_;
-  std::vector<std::pair<int, double>> plan_stack_;
+  BStarScratch scratch_;
+  std::vector<geom::Rect> rects_;  ///< last evaluated packing
 };
 
 }  // namespace afp::metaheur

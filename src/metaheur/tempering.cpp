@@ -5,47 +5,12 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "metaheur/bstar.hpp"
-#include "metaheur/eval_cache.hpp"
+#include "metaheur/chains.hpp"
 #include "numeric/parallel.hpp"
 
 namespace afp::metaheur {
 
 namespace {
-
-/// Representation adapters: a uniform chain interface over the two
-/// encodings.  Each call draws only from the replica's own stream.
-struct SpChain {
-  using State = SequencePair;
-  using Evaluator = SpEvaluator;
-  static State random(const floorplan::Instance& inst, std::mt19937_64& rng) {
-    return SequencePair::random(inst.num_blocks(), rng);
-  }
-  static void mutate(State& s, std::mt19937_64& rng) {
-    std::uniform_int_distribution<int> d(0, kNumMoves - 1);
-    apply_move(s, static_cast<Move>(d(rng)), rng);
-  }
-  static std::vector<geom::Rect> pack_state(const floorplan::Instance& inst,
-                                            const State& s, double spacing) {
-    return pack(inst, s, spacing);
-  }
-};
-
-struct BStarChain {
-  using State = BStarTree;
-  using Evaluator = BStarEvaluator;
-  static State random(const floorplan::Instance& inst, std::mt19937_64& rng) {
-    return BStarTree::random(inst.num_blocks(), rng);
-  }
-  static void mutate(State& s, std::mt19937_64& rng) {
-    std::uniform_int_distribution<int> d(0, kNumBStarMoves - 1);
-    apply_bstar_move(s, static_cast<BStarMove>(d(rng)), rng);
-  }
-  static std::vector<geom::Rect> pack_state(const floorplan::Instance& inst,
-                                            const State& s, double spacing) {
-    return pack_bstar(inst, s, spacing);
-  }
-};
 
 template <class Chain>
 BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
@@ -60,15 +25,17 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
   if (p.swap_interval < 1) {
     throw std::invalid_argument("run_pt: swap_interval must be >= 1");
   }
-  if (p.t_cold <= 0.0 || (p.t_hot >= 0.0 && p.t_hot <= p.t_cold)) {
+  // Written so that NaN fails too (a negative t_hot means auto).
+  if (!(p.t_cold > 0.0) || (p.t_hot >= 0.0 && p.t_hot <= p.t_cold)) {
     throw std::invalid_argument("run_pt: need t_hot > t_cold > 0");
   }
-  if (p.anneal && (p.t_end <= 0.0 || p.t_start < p.t_end ||
-                   p.hot_factor < 1.0)) {
-    throw std::invalid_argument(
-        "run_pt: need t_start >= t_end > 0 and hot_factor >= 1");
+  if (p.anneal) {
+    check_schedule("run_pt", p.iterations, p.t_start, p.t_end);
+    if (!(p.hot_factor >= 1.0)) {
+      throw std::invalid_argument("run_pt: need hot_factor >= 1");
+    }
   }
-  if (p.budget_skew < 1.0) {
+  if (!(p.budget_skew >= 1.0)) {
     throw std::invalid_argument("run_pt: budget_skew must be >= 1");
   }
   const auto t0 = std::chrono::steady_clock::now();
@@ -181,24 +148,14 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
     num::parallel_for(K, 1, [&](std::int64_t k0, std::int64_t k1) {
       for (std::int64_t k = k0; k < k1; ++k) {
         const std::size_t ks = static_cast<std::size_t>(k);
-        auto& rng = rngs[ks];
-        std::uniform_real_distribution<double> u01(0.0, 1.0);
         StopPoll stopped(p.stop);
         for (long it = done[ks]; it < next[ks]; ++it) {
           if (stopped()) break;
           ++moves[ks];
-          State cand = state[ks];
-          Chain::mutate(cand, rng);
-          const double c = evals_by_replica[ks].cost(cand);
-          const double t = temp_at(static_cast<int>(k), it);
-          if (c < cost[ks] || u01(rng) < std::exp((cost[ks] - c) / t)) {
-            state[ks] = std::move(cand);
-            cost[ks] = c;
-            if (cost[ks] < best_cost[ks]) {
-              best_state[ks] = state[ks];
-              best_cost[ks] = cost[ks];
-            }
-          }
+          metropolis_step<Chain>(evals_by_replica[ks],
+                                 temp_at(static_cast<int>(k), it), rngs[ks],
+                                 state[ks], cost[ks], best_state[ks],
+                                 best_cost[ks]);
         }
       }
     });

@@ -1,11 +1,16 @@
 // Determinism tests for the parallel metaheuristics: SA multi-restart, GA
 // and PSO (parallel population scoring) and B*-tree SA multi-restart must
 // produce bitwise-identical best cost and layout whether the shared pool
-// runs 1 or 4 threads, and seeded runs must be reproducible across repeats.
+// runs 1 or 4 threads, and seeded runs must be reproducible across repeats
+// and, through pinned golden results, across commits.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 
+#include "metaheur/bstar.hpp"
 #include "metaheur/parallel_search.hpp"
 #include "metaheur/tempering.hpp"
 #include "netlist/library.hpp"
@@ -197,6 +202,56 @@ TEST(Tempering, RejectsDegenerateParams) {
   p = {};
   p.t_hot = 1e-4;  // below t_cold
   EXPECT_THROW(run_pt(inst, p, rng), std::invalid_argument);
+  // NaN must not slip through the ordered comparisons.
+  p = {};
+  p.t_start = std::nan("");
+  EXPECT_THROW(run_pt(inst, p, rng), std::invalid_argument);
+  p = {};
+  p.t_cold = std::nan("");
+  EXPECT_THROW(run_pt(inst, p, rng), std::invalid_argument);
+  p = {};
+  p.hot_factor = std::nan("");
+  EXPECT_THROW(run_pt(inst, p, rng), std::invalid_argument);
+  p = {};
+  p.budget_skew = std::nan("");
+  EXPECT_THROW(run_pt(inst, p, rng), std::invalid_argument);
+}
+
+TEST(Annealing, RejectsDegenerateSchedules) {
+  // A non-positive, NaN or rising schedule would anneal through NaN or
+  // inverted temperatures (t_end < 0 makes every one NaN); SA over both
+  // encodings and RL-SA reject it the way run_pt does.
+  const auto inst = instance_of(netlist::make_ota_small());
+  std::mt19937_64 rng(1);
+  struct Bad {
+    int iterations;
+    double t_start, t_end;
+  };
+  const Bad bad[] = {{100, 2.0, -1.0},
+                     {100, 0.0, 1e-3},
+                     {100, 1.0, 2.0},
+                     {100, 2.0, 0.0},
+                     {100, std::nan(""), 1e-3},
+                     {-1, 2.0, 1e-3}};
+  for (const Bad& b : bad) {
+    SAParams sa;
+    sa.iterations = b.iterations;
+    sa.t_start = b.t_start;
+    sa.t_end = b.t_end;
+    EXPECT_THROW(run_sa(inst, sa, rng), std::invalid_argument);
+    EXPECT_THROW(run_sa_bstar(inst, sa, rng), std::invalid_argument);
+    RLSAParams rl;
+    rl.iterations = b.iterations;
+    rl.t_start = b.t_start;
+    rl.t_end = b.t_end;
+    EXPECT_THROW(run_rlsa(inst, rl, rng), std::invalid_argument);
+  }
+  // A flat schedule and an empty budget stay valid.
+  SAParams flat;
+  flat.iterations = 0;
+  flat.t_start = flat.t_end = 0.5;
+  EXPECT_NO_THROW(run_sa(inst, flat, rng));
+  EXPECT_NO_THROW(run_sa_bstar(inst, flat, rng));
 }
 
 TEST(Tempering, PtIsThreadCountInvariant) {
@@ -274,6 +329,98 @@ TEST(Tempering, BestIsNoWorseThanEveryReplicaStart) {
   EXPECT_EQ(res.evaluations,
             static_cast<long>(p.replicas) * (1 + p.iterations));
   EXPECT_EQ(res.method, "PT");
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+/// FNV-1a over the raw bits of every rect field, in block order.
+std::uint64_t rect_hash(const std::vector<geom::Rect>& rects) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& r : rects) {
+    for (const double d : {r.x, r.y, r.w, r.h}) {
+      const std::uint64_t u = bits_of(d);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (u >> (8 * byte)) & 0xffu;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+/// One short fixed-seed run of `method` (a registry key) on `inst`.
+BaselineResult run_golden(const std::string& method,
+                          const floorplan::Instance& inst) {
+  std::mt19937_64 rng(20241019);
+  if (method == "sa") {
+    SAParams p;
+    p.iterations = 300;
+    return run_sa(inst, p, rng);
+  }
+  if (method == "sab") {
+    BStarSAParams p;
+    p.iterations = 300;
+    return run_sa_bstar(inst, p, rng);
+  }
+  if (method == "rlsa") {
+    RLSAParams p;
+    p.iterations = 300;
+    return run_rlsa(inst, p, rng);
+  }
+  PTParams p;
+  p.replicas = 3;
+  p.iterations = 100;
+  if (method == "pt-bstar") p.representation = Representation::kBStarTree;
+  return run_pt(inst, p, rng);
+}
+
+// Every other bitwise test compares two runs of the same build, so a change
+// that reorders one RNG draw or one floating-point operation passes them
+// all.  These constants pin the best cost bits and a hash of the layout
+// bits across commits.  They hold for x86-64 with libstdc++ and glibc's
+// libm (the distributions and exp/pow are implementation-defined); a
+// deliberate change to a search's trajectory must update them.
+TEST(SearchGolden, BestResultsArePinned) {
+  struct Golden {
+    const char* method;
+    const char* circuit;
+    std::uint64_t cost_bits;
+    std::uint64_t rects;
+    long evaluations;
+  };
+  const Golden golden[] = {
+      {"sa", "ota2", 0x3ff08810eaeff4e8ull, 0x7ba4b5c89c55a829ull, 301},
+      {"sab", "ota2", 0x3fee530859ee82b9ull, 0x84e784ad4eef09d1ull, 301},
+      {"pt", "ota2", 0x3fcea7759ea41530ull, 0xf5d7d4b015e9bbf7ull, 303},
+      {"pt-bstar", "ota2", 0x3fac1ee0431dc080ull, 0x417ef3ce63eae63aull, 303},
+      {"rlsa", "ota2", 0x3fee07925e765df5ull, 0x4fa6e4545b6a584cull, 301},
+      {"sa", "bias2", 0x401e1e54f78dedbcull, 0x6652bdfe5e385fe7ull, 301},
+      {"sab", "bias2", 0x40214b43f7cb0dbcull, 0xbfbde441612e92f9ull, 301},
+      {"pt", "bias2", 0x401e3f1cbd40db8eull, 0x5ff1f3be2447b68cull, 303},
+      {"pt-bstar", "bias2", 0x401c40dbfe7367a4ull, 0xb9f3ecffde9be4c5ull, 303},
+      {"rlsa", "bias2", 0x402360105ea3a84cull, 0xb773600239b5460full, 301},
+  };
+  const auto ota2 = instance_of(netlist::make_ota2());
+  const auto bias2 = instance_of(netlist::make_bias2());
+  for (const Golden& g : golden) {
+    const auto& inst = std::strcmp(g.circuit, "ota2") == 0 ? ota2 : bias2;
+    const BaselineResult r = run_golden(g.method, inst);
+    const std::uint64_t cost = bits_of(sp_cost(inst, r.rects));
+    const std::uint64_t rects = rect_hash(r.rects);
+    // Printed in table form so an intended change can be re-pinned.
+    char row[160];
+    std::snprintf(row, sizeof(row),
+                  "{\"%s\", \"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64
+                  "ull, %ld},",
+                  g.method, g.circuit, cost, rects, r.evaluations);
+    EXPECT_EQ(cost, g.cost_bits) << row;
+    EXPECT_EQ(rects, g.rects) << row;
+    EXPECT_EQ(r.evaluations, g.evaluations) << row;
+  }
 }
 
 TEST(MultiStart, BestOfRestartsIsNoWorseThanAnySingleRestart) {
