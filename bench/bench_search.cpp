@@ -51,7 +51,7 @@ floorplan::Instance instance_of(const std::string& name) {
 
 /// Synthetic large instance for the delta-vs-full packing comparison: the
 /// Table I circuits top out around a dozen blocks, far too small to show the
-/// asymptotic win of incremental evaluation, so this builds a `blocks`-block
+/// asymptotic win of the O(n log n) packer, so this builds a `blocks`-block
 /// instance directly (deterministic areas, seeded random 2-5 pin nets).
 floorplan::Instance synthetic_instance(int blocks, std::uint64_t seed) {
   floorplan::Instance inst;
@@ -219,12 +219,13 @@ int main() {
     return 1;
   }
 
-  // ---- Incremental evaluation: delta vs full packing throughput ----------
-  // One seeded SA run per encoding on a 120-block synthetic instance, timed
-  // under AFP_EVAL=full (legacy O(n^2) repack + full HPWL rescan per move)
-  // and AFP_EVAL=delta (metaheur/eval_cache).  The best floorplans must be
-  // bitwise identical — the engine is a pure speedup — and the recorded
-  // steps/s ratio is the headline number for the incremental engine.
+  // ---- Evaluation engine: delta vs full packing throughput ---------------
+  // One seeded SA run per encoding on a 250-block synthetic instance, timed
+  // under AFP_EVAL=full (reference packer + sp_cost per move) and
+  // AFP_EVAL=delta (metaheur/eval_cache: the sequence pair's Fenwick pack
+  // or the B*-tree contour pack into reused buffers).  The best floorplans
+  // must be bitwise identical — the engine is a pure speedup — and the
+  // recorded steps/s ratio is its headline number.
   const int kDeltaBlocks = 250;
   const auto big = synthetic_instance(kDeltaBlocks, 2024);
   const int kDeltaIters = scaled(4000);
@@ -248,7 +249,7 @@ int main() {
   };
   std::vector<DeltaRow> delta_rows;
   bool delta_match = true;
-  std::printf("\nincremental eval, %d-block synthetic, %d moves "
+  std::printf("\nevaluation engine, %d-block synthetic, %d moves "
               "(steps/s, AFP_EVAL=full vs delta):\n",
               kDeltaBlocks, kDeltaIters);
   for (const char* m : {"sa", "sab"}) {

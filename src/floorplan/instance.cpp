@@ -94,67 +94,6 @@ double hpwl_of(const Instance& inst, const std::vector<geom::Rect>& rects) {
   return total;
 }
 
-void HpwlCache::reset(const Instance& inst) {
-  inst_ = &inst;
-  block_nets_.assign(inst.blocks.size(), {});
-  for (std::size_t n = 0; n < inst.nets.size(); ++n) {
-    for (int b : inst.nets[n]) {
-      block_nets_[static_cast<std::size_t>(b)].push_back(static_cast<int>(n));
-    }
-  }
-  boxes_.assign(inst.nets.size(), {});
-  dirty_.assign(inst.nets.size(), 0);
-}
-
-void HpwlCache::rescan(std::size_t net, const std::vector<geom::Rect>& rects) {
-  // Same scan order and min/max chain as hpwl_of, so each extent is the
-  // bitwise-identical double.
-  NetBox box{1e300, -1e300, 1e300, -1e300};
-  for (int b : inst_->nets[net]) {
-    const geom::Point c = rects[static_cast<std::size_t>(b)].center();
-    box.x0 = std::min(box.x0, c.x);
-    box.x1 = std::max(box.x1, c.x);
-    box.y0 = std::min(box.y0, c.y);
-    box.y1 = std::max(box.y1, c.y);
-  }
-  boxes_[net] = box;
-}
-
-double HpwlCache::sum() const {
-  // Accumulation order matches hpwl_of exactly: nets in index order, one
-  // (dx) + (dy) term each, short nets skipped before the add.
-  double total = 0.0;
-  for (std::size_t n = 0; n < inst_->nets.size(); ++n) {
-    if (inst_->nets[n].size() < 2) continue;
-    const NetBox& b = boxes_[n];
-    total += (b.x1 - b.x0) + (b.y1 - b.y0);
-  }
-  return total;
-}
-
-double HpwlCache::recompute(const std::vector<geom::Rect>& rects) {
-  for (std::size_t n = 0; n < inst_->nets.size(); ++n) rescan(n, rects);
-  return sum();
-}
-
-double HpwlCache::update(const std::vector<geom::Rect>& rects,
-                         const std::vector<int>& moved) {
-  for (int b : moved) {
-    for (int n : block_nets_[static_cast<std::size_t>(b)]) {
-      if (!dirty_[static_cast<std::size_t>(n)]) {
-        dirty_[static_cast<std::size_t>(n)] = 1;
-        rescan(static_cast<std::size_t>(n), rects);
-      }
-    }
-  }
-  for (int b : moved) {
-    for (int n : block_nets_[static_cast<std::size_t>(b)]) {
-      dirty_[static_cast<std::size_t>(n)] = 0;
-    }
-  }
-  return sum();
-}
-
 int constraint_violations(const Instance& inst,
                           const std::vector<geom::Rect>& rects, double tol,
                           int* total_items) {

@@ -97,39 +97,6 @@ Evaluation evaluate_floorplan(const Instance& inst,
 /// HPWL over block centers for the instance's nets.
 double hpwl_of(const Instance& inst, const std::vector<geom::Rect>& rects);
 
-/// Cached per-net HPWL bounding boxes: after a move, only the nets touching
-/// moved blocks are rescanned (O(moved pins)), then the per-net extents are
-/// re-summed in net order so the total is bitwise identical to hpwl_of.
-/// The caller owns the invalidation contract: `moved` must cover every block
-/// whose rect center changed since the previous update()/recompute() on the
-/// same rects vector (a superset is fine, it only costs rescans).
-class HpwlCache {
- public:
-  /// Binds the cache to an instance: builds the block -> nets adjacency and
-  /// clears all per-net boxes.  `inst` must outlive the cache.
-  void reset(const Instance& inst);
-
-  /// Rescans every net; equivalent to hpwl_of(inst, rects).
-  double recompute(const std::vector<geom::Rect>& rects);
-
-  /// Rescans only the nets adjacent to `moved` blocks, then re-sums all
-  /// nets.  Requires a prior recompute() on the same instance.
-  double update(const std::vector<geom::Rect>& rects,
-                const std::vector<int>& moved);
-
- private:
-  struct NetBox {
-    double x0 = 0.0, x1 = 0.0, y0 = 0.0, y1 = 0.0;
-  };
-  void rescan(std::size_t net, const std::vector<geom::Rect>& rects);
-  double sum() const;
-
-  const Instance* inst_ = nullptr;
-  std::vector<std::vector<int>> block_nets_;  ///< nets adjacent to a block
-  std::vector<NetBox> boxes_;
-  std::vector<char> dirty_;  ///< per-net scratch flag for update()
-};
-
 /// Counts violated constraint items with tolerance `tol` (um).  One item
 /// per constraint element: each self-symmetry, symmetry pair, alignment
 /// follower, matching follower, keep-out region and pre-placed pin.  The
@@ -149,8 +116,8 @@ bool constraints_satisfied(const Instance& inst,
 /// Graded soft penalty for the metaheuristic cost: 0 when satisfied, up to
 /// 10.0 when every item is violated.  Proportional to the violation
 /// fraction so annealers can repair constraints one element at a time
-/// instead of facing a flat cliff.  Shared by sp_cost and the incremental
-/// evaluator so both produce bitwise-identical costs.
+/// instead of facing a flat cliff.  Shared by sp_cost and the search
+/// evaluators so both produce bitwise-identical costs.
 inline double constraint_penalty(int violated, int total_items) {
   if (violated <= 0) return 0.0;
   return 10.0 * static_cast<double>(violated) /

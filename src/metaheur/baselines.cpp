@@ -41,22 +41,50 @@ Move random_move(std::mt19937_64& rng) {
 /// draw no randomness, so population methods generate candidates serially
 /// (one RNG stream, the same draws as a sequential run) and fan the pure
 /// evaluations out here — results are bitwise identical for any thread
-/// count.  Population members are unrelated states (crossover offspring,
-/// decoded swarm particles), so the incremental evaluator has nothing to
-/// diff against: GA/PSO stay on the full recompute path on purpose.
+/// count.  Each chunk packs through its own scratch.
 std::vector<double> eval_population(const floorplan::Instance& inst,
                                     const std::vector<SequencePair>& pop,
                                     double spacing) {
   std::vector<double> cost(pop.size());
   num::parallel_for(static_cast<std::int64_t>(pop.size()), 1,
                     [&](std::int64_t i0, std::int64_t i1) {
-                      for (std::int64_t i = i0; i < i1; ++i)
-                        cost[static_cast<std::size_t>(i)] = sp_cost(
-                            inst,
-                            pack(inst, pop[static_cast<std::size_t>(i)],
-                                 spacing));
+                      SpScratch scratch;
+                      std::vector<geom::Rect> rects;
+                      for (std::int64_t i = i0; i < i1; ++i) {
+                        const auto k = static_cast<std::size_t>(i);
+                        pack_into(inst, pop[k], spacing, scratch, rects);
+                        cost[k] = sp_cost(inst, rects);
+                      }
                     });
   return cost;
+}
+
+/// The move-type policy of both [13] agents: a softmax over preferences.
+std::array<double, kNumMoves> softmax(
+    const std::array<double, kNumMoves>& theta) {
+  std::array<double, kNumMoves> pi{};
+  const double mx = *std::max_element(theta.begin(), theta.end());
+  double sum = 0.0;
+  for (int m = 0; m < kNumMoves; ++m) {
+    pi[static_cast<std::size_t>(m)] =
+        std::exp(theta[static_cast<std::size_t>(m)] - mx);
+    sum += pi[static_cast<std::size_t>(m)];
+  }
+  for (double& v : pi) v /= sum;
+  return pi;
+}
+
+/// Draws a move type from `pi` by inverting its CDF at one uniform.
+int sample_move(const std::array<double, kNumMoves>& pi,
+                std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unif(0.0, 1.0);
+  const double u = unif(rng);
+  double cum = 0.0;
+  for (int k = 0; k < kNumMoves; ++k) {
+    cum += pi[static_cast<std::size_t>(k)];
+    if (u <= cum) return k;
+  }
+  return kNumMoves - 1;
 }
 
 }  // namespace
@@ -279,31 +307,11 @@ BaselineResult run_rlsa(const floorplan::Instance& inst, const RLSAParams& p,
       std::pow(p.t_end / p.t_start, 1.0 / std::max(1, p.iterations - 1));
   double temp = p.t_start;
 
-  auto policy = [&]() {
-    std::array<double, kNumMoves> pi{};
-    double mx = *std::max_element(theta.begin(), theta.end());
-    double sum = 0.0;
-    for (int m = 0; m < kNumMoves; ++m) {
-      pi[static_cast<std::size_t>(m)] = std::exp(theta[static_cast<std::size_t>(m)] - mx);
-      sum += pi[static_cast<std::size_t>(m)];
-    }
-    for (double& v : pi) v /= sum;
-    return pi;
-  };
-
   StopPoll stopped(p.stop);
   for (int it = 0; it < p.iterations; ++it, temp *= decay) {
     if (stopped()) break;
-    const auto pi = policy();
-    double u = unif(rng), cum = 0.0;
-    int m = kNumMoves - 1;
-    for (int k = 0; k < kNumMoves; ++k) {
-      cum += pi[static_cast<std::size_t>(k)];
-      if (u <= cum) {
-        m = k;
-        break;
-      }
-    }
+    const auto pi = softmax(theta);
+    const int m = sample_move(pi, rng);
     SequencePair cand = cur;
     apply_move(cand, static_cast<Move>(m), rng);
     const double cost = ev.cost(cand);
@@ -340,19 +348,6 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
   SequencePair best = SequencePair::random(inst.num_blocks(), rng);
   double best_cost = ev.cost(best);
   long evals = 1;
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
-
-  auto policy = [&]() {
-    std::array<double, kNumMoves> pi{};
-    double mx = *std::max_element(theta.begin(), theta.end());
-    double sum = 0.0;
-    for (int m = 0; m < kNumMoves; ++m) {
-      pi[static_cast<std::size_t>(m)] = std::exp(theta[static_cast<std::size_t>(m)] - mx);
-      sum += pi[static_cast<std::size_t>(m)];
-    }
-    for (double& v : pi) v /= sum;
-    return pi;
-  };
 
   double reward_baseline = 0.0;
   StopPoll stopped(p.stop);
@@ -363,16 +358,7 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
     ++evals;
     std::vector<int> taken;
     for (int step = 0; step < p.steps_per_episode; ++step) {
-      const auto pi = policy();
-      double u = unif(rng), cum = 0.0;
-      int m = kNumMoves - 1;
-      for (int k = 0; k < kNumMoves; ++k) {
-        cum += pi[static_cast<std::size_t>(k)];
-        if (u <= cum) {
-          m = k;
-          break;
-        }
-      }
+      const int m = sample_move(softmax(theta), rng);
       SequencePair cand = cur;
       apply_move(cand, static_cast<Move>(m), rng);
       const double cost = ev.cost(cand);
@@ -390,7 +376,7 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
     const double episode_reward = -cur_cost;
     const double advantage = episode_reward - reward_baseline;
     reward_baseline = 0.9 * reward_baseline + 0.1 * episode_reward;
-    const auto pi = policy();
+    const auto pi = softmax(theta);
     for (int m : taken) {
       for (int k = 0; k < kNumMoves; ++k) {
         const double indicator = (k == m) ? 1.0 : 0.0;
@@ -407,8 +393,11 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
 double estimate_hpwl_min(const floorplan::Instance& inst,
                          std::mt19937_64& rng, int iterations) {
   SequencePair cur = SequencePair::random(inst.num_blocks(), rng);
+  SpScratch scratch;
+  std::vector<geom::Rect> rects;
   auto hp = [&](const SequencePair& sp) {
-    return floorplan::hpwl_of(inst, pack(inst, sp, 0.0));
+    pack_into(inst, sp, 0.0, scratch, rects);
+    return floorplan::hpwl_of(inst, rects);
   };
   double cur_h = hp(cur);
   double best = cur_h;

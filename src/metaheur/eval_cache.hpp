@@ -1,35 +1,31 @@
-// Incremental evaluation engine for the metaheuristic search loops.
+// Cost evaluators for the metaheuristic search loops.
 //
-// Every SA/PT/RL-SA step perturbs one or two blocks, yet the legacy path
-// re-packs the whole floorplan (sequence-pair: O(n^2) longest-path
-// relaxation; B*-tree: a full contour pass) and rescans every net's every
-// pin for HPWL.  The evaluators here keep the previous packing and update
-// only what a move invalidated:
+// Every SA/PT/RL-SA step scores one candidate.  An evaluator packs it into
+// buffers it owns and reuses, then scores the rects with one plain HPWL
+// scan; neither keeps the previous packing as state.
 //
-//  * SpEvaluator diffs the new sequence pair against the cached one, finds
-//    the blocks whose match positions or shape changed, and re-relaxes the
-//    longest paths only for blocks with a changed predecessor set or a
-//    dirty predecessor value — every recomputed coordinate runs the exact
-//    inner loop of pack(), so results are bitwise identical.
-//  * BStarEvaluator re-packs the whole tree in one contour pass into reused
-//    buffers.  A move shifts every block after it in preorder, so replaying
-//    only the changed DFS suffix from contour snapshots, or diffing rects
-//    to update HPWL per net, cost more than it saved.
-//  * floorplan::HpwlCache re-scans only nets adjacent to moved blocks.
+//  * SpEvaluator packs a sequence pair with pack_into: O(n log n) through
+//    one Fenwick prefix-max tree per axis.
+//  * BStarEvaluator packs a B*-tree with pack_bstar_into: one contour pass.
 //  * TranspositionCache memoizes encoding -> cost across restarts/replicas
 //    of one job (dual-SplitMix64 128-bit keys, striped locks).  Cached
 //    costs are pure functions of the key, so sharing the cache across pool
 //    threads cannot perturb results: 1-thread and N-thread runs stay
 //    bitwise identical.
 //
-// Both evaluators run one mode dispatch (TT lookup/insert, check-mode
-// parity), written once in eval_cache.cpp.
+// A move changes one or two blocks, but it shifts the coordinates of most
+// blocks after it in s1/s2 (or in preorder), so diffing against the last
+// packing and rescanning only dirty nets measured slower than packing and
+// scanning everything afresh.
 //
-// Mode selection follows the simd_parity harness pattern: AFP_EVAL=
-// full|delta|check (default delta).  `full` is the legacy recompute,
-// `delta` the incremental path, and `check` runs both on every evaluation
-// and throws std::logic_error on any cost or rectangle mismatch — the
-// parity oracle the property suite and the sanitizer CI leg run under.
+// Both evaluators run one mode dispatch (TT lookup/insert, check-mode
+// parity), written once in eval_cache.cpp.  Mode selection follows the
+// simd_parity harness pattern: AFP_EVAL=full|delta|check (default delta).
+// `full` packs with the reference packer (the O(n^2) pack_reference for
+// sequence pairs) and scores through sp_cost, bypassing the memo; `delta`
+// is the fast path above; `check` runs both on every evaluation and throws
+// std::logic_error on any cost or rectangle mismatch — the parity oracle
+// the property suite and the sanitizer CI leg run under.
 #pragma once
 
 #include <atomic>
@@ -107,66 +103,30 @@ namespace detail {
 double score_rects(const floorplan::Instance& inst, double total_area,
                    const std::vector<geom::Rect>& rects, double hpwl);
 
-/// score_rects with the HPWL sum kept up to date by the per-net cache.
-class RectScorer {
- public:
-  void bind(const floorplan::Instance& inst);
-  /// `moved` lists blocks whose rect changed since the last call; pass
-  /// full = true (first evaluation / fallback repack) to rescan all nets.
-  double cost(const std::vector<geom::Rect>& rects,
-              const std::vector<int>& moved, bool full);
-
- private:
-  const floorplan::Instance* inst_ = nullptr;
-  double total_area_ = 0.0;
-  floorplan::HpwlCache hpwl_;
-};
-
 }  // namespace detail
 
-/// Incremental cost evaluator over sequence pairs.  One evaluator serves
-/// one (instance, spacing) pair and one search chain: it carries the
-/// previous packing as state.  Feeding it arbitrary states stays correct —
-/// the diff is computed against whatever was evaluated last — it is only
-/// fastest when successive states differ by a move or two.
+/// Cost evaluator over sequence pairs: a Fenwick pack into reused
+/// buffers, scored without re-deriving a relaxed instance on constraint
+/// violations.
 class SpEvaluator {
  public:
   SpEvaluator(const floorplan::Instance& inst, double spacing,
               TranspositionCache* tt = nullptr);
 
-  /// Cost of `sp`, bitwise equal to sp_cost(inst, pack(inst, sp, spacing))
-  /// in every mode.  In check mode both paths run and must agree exactly.
+  /// Bitwise equal to sp_cost(inst, pack_reference(inst, sp, spacing)) in
+  /// every mode.  In check mode both paths run and must agree exactly.
   double cost(const SequencePair& sp);
 
  private:
   double eval_delta(const SequencePair& sp);
-  void pack_full(const SequencePair& sp);
-  /// Delta repack; falls back to pack_full when the diff is too large.
-  void repack(const SequencePair& sp);
 
   const floorplan::Instance& inst_;
   double spacing_;
   TranspositionCache* tt_;
-  detail::RectScorer scorer_;
+  double total_area_;
 
-  bool has_state_ = false;
-  bool full_rescan_ = false;  ///< this eval rebuilt everything
-  SequencePair cached_;
-  std::vector<int> pos1_, pos2_;
-  std::vector<double> w_, h_, x_, y_;
-  std::vector<geom::Rect> rects_;
-  std::vector<int> moved_;  ///< blocks whose rect changed in the last eval
-  // Scratch (kept across evals to avoid reallocation).
-  std::vector<int> npos1_, npos2_;
-  std::vector<char> changed_;
-  std::vector<int> touched_;
-  /// Fenwick (binary indexed) trees holding running prefix maxima of block
-  /// contributions (coord + extent), one per axis.  They turn each pass of
-  /// the suffix re-relaxation into O(n log n): a block's packed coordinate
-  /// is exactly the max contribution over its already-inserted
-  /// predecessors, and max over the same set of doubles is bit-exact
-  /// regardless of association order.
-  std::vector<double> fenx_, feny_;
+  SpScratch scratch_;
+  std::vector<geom::Rect> rects_;  ///< last evaluated packing
 };
 
 /// Cost evaluator over B*-trees: a full contour pack into reused buffers,

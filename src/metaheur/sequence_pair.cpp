@@ -23,8 +23,65 @@ SequencePair SequencePair::random(int num_blocks, std::mt19937_64& rng) {
   return sp;
 }
 
+void pack_into(const floorplan::Instance& inst, const SequencePair& sp,
+               double spacing_um, SpScratch& scratch,
+               std::vector<geom::Rect>& rects) {
+  const auto z = [](int v) { return static_cast<std::size_t>(v); };
+  const int n = sp.size();
+  std::vector<int>& pos1 = scratch.pos1;
+  std::vector<int>& pos2 = scratch.pos2;
+  std::vector<double>& fen = scratch.fen;
+  pos1.resize(z(n));
+  pos2.resize(z(n));
+  rects.resize(z(n));
+  for (int i = 0; i < n; ++i) {
+    pos1[z(sp.s1[z(i)])] = i;
+    pos2[z(sp.s2[z(i)])] = i;
+  }
+  // x: walk s1.  The blocks left of b are the earlier ones with a smaller
+  // s2 position, so keyed by pos2 + 1 their right edges form a prefix of
+  // the tree and x(b) is one prefix-max query.
+  fen.assign(z(n + 1), 0.0);
+  for (int i = 0; i < n; ++i) {
+    const int b = sp.s1[z(i)];
+    const auto& sh = inst.blocks[z(b)].shapes[z(sp.shapes[z(b)])];
+    double xb = 0.0;
+    for (int k = pos2[z(b)]; k > 0; k -= k & -k) xb = std::max(xb, fen[z(k)]);
+    const double right = xb + (sh.w + 2.0 * spacing_um);
+    for (int k = pos2[z(b)] + 1; k <= n; k += k & -k) {
+      fen[z(k)] = std::max(fen[z(k)], right);
+    }
+    // Center the true rectangle inside its padded slot.
+    rects[z(b)] = {xb + spacing_um, 0.0, sh.w, sh.h};
+  }
+  // y: walk s2.  The blocks below a are the earlier ones with a larger s1
+  // position, so the key n - pos1 turns them into a prefix as well.
+  fen.assign(z(n + 1), 0.0);
+  for (int i = 0; i < n; ++i) {
+    const int a = sp.s2[z(i)];
+    double ya = 0.0;
+    for (int k = n - pos1[z(a)] - 1; k > 0; k -= k & -k) {
+      ya = std::max(ya, fen[z(k)]);
+    }
+    const double top = ya + (rects[z(a)].h + 2.0 * spacing_um);
+    for (int k = n - pos1[z(a)]; k <= n; k += k & -k) {
+      fen[z(k)] = std::max(fen[z(k)], top);
+    }
+    rects[z(a)].y = ya + spacing_um;
+  }
+}
+
 std::vector<geom::Rect> pack(const floorplan::Instance& inst,
                              const SequencePair& sp, double spacing_um) {
+  SpScratch scratch;
+  std::vector<geom::Rect> rects;
+  pack_into(inst, sp, spacing_um, scratch, rects);
+  return rects;
+}
+
+std::vector<geom::Rect> pack_reference(const floorplan::Instance& inst,
+                                       const SequencePair& sp,
+                                       double spacing_um) {
   const int n = sp.size();
   std::vector<int> pos1(static_cast<std::size_t>(n)), pos2(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {

@@ -47,10 +47,10 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
   rngs.reserve(kz(K));
   for (int k = 0; k < K; ++k) rngs.push_back(replica_rng(base_seed, k));
 
-  // Per-replica incremental evaluators (each chain's packing state lives
-  // with its chain across rounds; replica exchanges just hand it a bigger
-  // diff).  The transposition cache — if any — is shared: its values are
-  // pure functions of the key, so concurrent replicas stay deterministic.
+  // Per-replica evaluators: each owns its packing buffers, so replicas
+  // step concurrently without sharing scratch.  The transposition cache —
+  // if any — is shared: its values are pure functions of the key, so
+  // concurrent replicas stay deterministic.
   std::vector<typename Chain::Evaluator> evals_by_replica;
   evals_by_replica.reserve(kz(K));
   for (int k = 0; k < K; ++k) evals_by_replica.emplace_back(inst, spacing, p.tt);

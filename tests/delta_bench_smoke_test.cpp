@@ -1,4 +1,4 @@
-// Bench-smoke gate for the incremental evaluation engine: over every
+// Bench-smoke gate for the search evaluation engine: over every
 // Table I circuit, a seeded SA run (both encodings) and a seeded PT run
 // must produce bitwise-identical best floorplans under AFP_EVAL=full and
 // AFP_EVAL=delta.  This is the end-to-end guarantee behind the bench's

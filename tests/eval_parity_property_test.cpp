@@ -1,13 +1,16 @@
-// Property harness for the incremental evaluation engine
-// (metaheur/eval_cache): over 200 seeds per (circuit, representation), long
-// accept/reject move walks must score bitwise identically through the delta
-// evaluator, the AFP_EVAL=check oracle (which recomputes the legacy path on
-// every call and throws std::logic_error on any cost or rect divergence),
-// and a from-scratch pack + sp_cost done here.  Separately, searches that
-// share a transposition cache must stay bitwise thread-invariant (1 vs 4
-// pool threads) and identical to cache-free runs.
+// Property harness for the search evaluators (metaheur/eval_cache): over
+// 200 seeds per (circuit, representation), long accept/reject move walks
+// must score bitwise identically through the fast evaluator, the
+// AFP_EVAL=check oracle (which recomputes the reference path on every call
+// and throws std::logic_error on any cost or rect divergence), and a
+// reference pack + sp_cost done here.  The Fenwick sequence-pair packer is
+// also held bitwise to the O(n^2) pack_reference on random pairs of up to
+// 1000 blocks.  Separately, searches that share a transposition cache must
+// stay bitwise thread-invariant (1 vs 4 pool threads) and identical to
+// cache-free runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "metaheur/eval_cache.hpp"
@@ -21,7 +24,44 @@ namespace {
 constexpr int kSeeds = 200;
 constexpr int kWalkLength = 40;
 
+/// A `blocks`-block instance with seeded random 2-5 pin nets.  The Table I
+/// circuits top out near 20 blocks, too few to exercise the packer's
+/// Fenwick indexing at depth.
+floorplan::Instance synthetic_instance(int blocks, std::uint64_t seed) {
+  floorplan::Instance inst;
+  inst.name = "synthetic" + std::to_string(blocks);
+  std::mt19937_64 rng(seed);
+  for (int b = 0; b < blocks; ++b) {
+    floorplan::Block blk;
+    blk.name = "b" + std::to_string(b);
+    blk.area_um2 = 20.0 + 3.0 * static_cast<double>(b % 17);
+    blk.shapes = floorplan::candidate_shapes(
+        blk.area_um2, structrec::StructureType::kUnknown);
+    inst.blocks.push_back(std::move(blk));
+  }
+  if (blocks >= 2) {
+    std::uniform_int_distribution<int> pins(2, std::min(5, blocks));
+    std::uniform_int_distribution<int> pick(0, blocks - 1);
+    for (int n = 0; n < 2 * blocks; ++n) {
+      std::vector<int> net;
+      const int k = pins(rng);
+      while (static_cast<int>(net.size()) < k) {
+        const int b = pick(rng);
+        if (std::find(net.begin(), net.end(), b) == net.end()) {
+          net.push_back(b);
+        }
+      }
+      inst.nets.push_back(std::move(net));
+    }
+  }
+  inst.canvas_w = inst.canvas_h =
+      geom::canvas_side(inst.total_block_area(), 11.0);
+  inst.hpwl_ref = 100.0 * std::max(1, blocks);
+  return inst;
+}
+
 floorplan::Instance instance_of(const std::string& name) {
+  if (name == "synthetic250") return synthetic_instance(250, 2024);
   netlist::Netlist nl;
   for (const auto& e : netlist::circuit_registry()) {
     if (e.name == name) nl = e.make();
@@ -32,6 +72,40 @@ floorplan::Instance instance_of(const std::string& name) {
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+bool same_rect(const geom::Rect& a, const geom::Rect& b) {
+  return same_bits(a.x, b.x) && same_bits(a.y, b.y) && same_bits(a.w, b.w) &&
+         same_bits(a.h, b.h);
+}
+
+TEST(PackOracle, FenwickPackMatchesReferenceBitwise) {
+  // One scratch serves every size, so stale entries from a larger packing
+  // would show up in a smaller one.
+  metaheur::SpScratch scratch;
+  std::vector<geom::Rect> reused;
+  for (const int n : {0, 1, 2, 17, 250, 1000}) {
+    const auto inst = synthetic_instance(n, 11);
+    std::mt19937_64 rng(static_cast<std::uint64_t>(n) + 5);
+    const int trials = n >= 250 ? 4 : 40;
+    for (int t = 0; t < trials; ++t) {
+      const auto sp = metaheur::SequencePair::random(n, rng);
+      for (const double spacing : {0.0, 0.7}) {
+        const auto want = metaheur::pack_reference(inst, sp, spacing);
+        const auto got = metaheur::pack(inst, sp, spacing);
+        metaheur::pack_into(inst, sp, spacing, scratch, reused);
+        ASSERT_EQ(want.size(), static_cast<std::size_t>(n));
+        ASSERT_EQ(got.size(), want.size());
+        ASSERT_EQ(reused.size(), want.size());
+        for (std::size_t b = 0; b < want.size(); ++b) {
+          ASSERT_TRUE(same_rect(got[b], want[b]) &&
+                      same_rect(reused[b], want[b]))
+              << "n " << n << " trial " << t << " spacing " << spacing
+              << " block " << b;
+        }
+      }
+    }
+  }
 }
 
 /// Restores the process-wide eval mode on scope exit so test order (and the
@@ -51,6 +125,7 @@ class ScopedEvalMode {
 struct RepCase {
   std::string circuit;
   metaheur::Representation rep;
+  int seeds = kSeeds;
 };
 
 std::string case_name(const ::testing::TestParamInfo<RepCase>& info) {
@@ -60,10 +135,9 @@ std::string case_name(const ::testing::TestParamInfo<RepCase>& info) {
 class EvalParityProperty : public ::testing::TestWithParam<RepCase> {};
 
 /// One SA-shaped walk: candidate = accepted state + a burst of moves, with a
-/// deterministic accept/reject pattern so the evaluator's cached packing
-/// regularly diverges from the proposed state (the rejected-candidate diff
-/// is the hard case for delta repacking).  Every evaluation is compared
-/// bitwise against a from-scratch pack + sp_cost.
+/// deterministic accept/reject pattern, so the evaluator's reused buffers
+/// regularly hold a packing other than the proposed state's.  Every
+/// evaluation is compared bitwise against a reference pack + sp_cost.
 template <class State, class MutateFn, class EvalFn, class OracleFn>
 void run_walk(State cur, MutateFn mutate, EvalFn eval, OracleFn oracle,
               std::mt19937_64& rng, int seed) {
@@ -77,8 +151,8 @@ void run_walk(State cur, MutateFn mutate, EvalFn eval, OracleFn oracle,
     const double got = eval(cand);
     const double want = oracle(cand);
     ASSERT_TRUE(same_bits(got, want))
-        << "seed " << seed << " step " << step << ": delta=" << got
-        << " full=" << want;
+        << "seed " << seed << " step " << step << ": fast=" << got
+        << " reference=" << want;
     if (!have_cur || got < cur_cost || step % 3 == 0) {
       cur = std::move(cand);
       cur_cost = got;
@@ -93,7 +167,7 @@ TEST_P(EvalParityProperty, DeltaMatchesFullOverMoveWalks) {
   for (const auto mode :
        {metaheur::EvalMode::kDelta, metaheur::EvalMode::kCheck}) {
     ScopedEvalMode scoped(mode);
-    for (int seed = 0; seed < kSeeds; ++seed) {
+    for (int seed = 0; seed < param.seeds; ++seed) {
       std::mt19937_64 rng(static_cast<std::uint64_t>(seed) + 7);
       const double spacing = seed % 2 == 0 ? 0.0 : inst.canvas_w / 32.0;
       if (param.rep == metaheur::Representation::kBStarTree) {
@@ -120,7 +194,8 @@ TEST_P(EvalParityProperty, DeltaMatchesFullOverMoveWalks) {
             },
             [&](const metaheur::SequencePair& s) { return ev.cost(s); },
             [&](const metaheur::SequencePair& s) {
-              return metaheur::sp_cost(inst, pack(inst, s, spacing));
+              return metaheur::sp_cost(inst,
+                                       pack_reference(inst, s, spacing));
             },
             rng, seed);
       }
@@ -166,7 +241,9 @@ INSTANTIATE_TEST_SUITE_P(
         RepCase{"ota2", metaheur::Representation::kSequencePair},
         RepCase{"ota2", metaheur::Representation::kBStarTree},
         RepCase{"bias2", metaheur::Representation::kSequencePair},
-        RepCase{"bias2", metaheur::Representation::kBStarTree}),
+        RepCase{"bias2", metaheur::Representation::kBStarTree},
+        RepCase{"synthetic250", metaheur::Representation::kSequencePair, 20},
+        RepCase{"synthetic250", metaheur::Representation::kBStarTree, 20}),
     case_name);
 
 void expect_same_result(const metaheur::BaselineResult& a,

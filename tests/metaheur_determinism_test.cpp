@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "ingest/scenario.hpp"
 #include "metaheur/bstar.hpp"
 #include "metaheur/parallel_search.hpp"
 #include "metaheur/tempering.hpp"
@@ -371,6 +372,24 @@ BaselineResult run_golden(const std::string& method,
     p.iterations = 300;
     return run_rlsa(inst, p, rng);
   }
+  if (method == "rlsp") {
+    RLSPParams p;
+    p.episodes = 10;
+    p.steps_per_episode = 25;
+    return run_rlsp(inst, p, rng);
+  }
+  if (method == "ga") {
+    GAParams p;
+    p.population = 12;
+    p.generations = 20;
+    return run_ga(inst, p, rng);
+  }
+  if (method == "pso") {
+    PSOParams p;
+    p.particles = 10;
+    p.iterations = 20;
+    return run_pso(inst, p, rng);
+  }
   PTParams p;
   p.replicas = 3;
   p.iterations = 100;
@@ -398,11 +417,17 @@ TEST(SearchGolden, BestResultsArePinned) {
       {"pt", "ota2", 0x3fcea7759ea41530ull, 0xf5d7d4b015e9bbf7ull, 303},
       {"pt-bstar", "ota2", 0x3fac1ee0431dc080ull, 0x417ef3ce63eae63aull, 303},
       {"rlsa", "ota2", 0x3fee07925e765df5ull, 0x4fa6e4545b6a584cull, 301},
+      {"rlsp", "ota2", 0x3ffcfb22300308bfull, 0x6c41943f3886ab82ull, 261},
+      {"ga", "ota2", 0x3fe29d05abf28ba2ull, 0x1bd71fb18f02c806ull, 232},
+      {"pso", "ota2", 0x3fed5aa6958c99d2ull, 0x31b7d7f0c7312149ull, 210},
       {"sa", "bias2", 0x401e1e54f78dedbcull, 0x6652bdfe5e385fe7ull, 301},
       {"sab", "bias2", 0x40214b43f7cb0dbcull, 0xbfbde441612e92f9ull, 301},
       {"pt", "bias2", 0x401e3f1cbd40db8eull, 0x5ff1f3be2447b68cull, 303},
       {"pt-bstar", "bias2", 0x401c40dbfe7367a4ull, 0xb9f3ecffde9be4c5ull, 303},
       {"rlsa", "bias2", 0x402360105ea3a84cull, 0xb773600239b5460full, 301},
+      {"rlsp", "bias2", 0x4022790da130b59aull, 0x6abbaec9194f404full, 261},
+      {"ga", "bias2", 0x40235843a4736936ull, 0xdc18f0dc12bed46full, 232},
+      {"pso", "bias2", 0x4024aec3a6ba4d0aull, 0x81f5f8fc95b7b560ull, 210},
   };
   const auto ota2 = instance_of(netlist::make_ota2());
   const auto bias2 = instance_of(netlist::make_bias2());
@@ -421,6 +446,13 @@ TEST(SearchGolden, BestResultsArePinned) {
     EXPECT_EQ(rects, g.rects) << row;
     EXPECT_EQ(r.evaluations, g.evaluations) << row;
   }
+  // The HPWL-reference SA that sets every job's hpwl_ref, at a size where
+  // the packer's O(n log n) indexing is exercised.
+  const auto ota300 = instance_of(
+      ingest::make_scenario(ingest::ScenarioSpec::parse("ota:300:1")).netlist);
+  std::mt19937_64 rng(20241019);
+  const std::uint64_t ref = bits_of(estimate_hpwl_min(ota300, rng));
+  EXPECT_EQ(ref, 0x40cca63803e79831ull) << "hpwl_ref bits 0x" << std::hex << ref;
 }
 
 TEST(MultiStart, BestOfRestartsIsNoWorseThanAnySingleRestart) {
